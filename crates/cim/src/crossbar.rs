@@ -69,6 +69,10 @@ pub struct Crossbar {
     /// programming error), row-major `rows × cols`.
     cell_weights: Option<Vec<f32>>,
     ir_drop: IrDropModel,
+    /// Per-row bit-line gains of `ir_drop` ([`IrDropModel::row_gain`]),
+    /// computed once by [`Crossbar::with_ir_drop`]. `None` when every gain
+    /// is exactly 1.0: the similarity read is then the popcount MVM.
+    ir_gains: Option<Box<[f64]>>,
     domain: PowerDomain,
     stats: AccessStats,
     rng: StdRng,
@@ -123,6 +127,7 @@ impl Crossbar {
             device,
             cell_weights,
             ir_drop: IrDropModel::ideal(),
+            ir_gains: None,
             domain: PowerDomain::new(50e-6, 5e-6),
             stats,
             rng,
@@ -132,7 +137,18 @@ impl Crossbar {
     /// Enables a bit-line IR-drop model on the similarity readout
     /// (the projection direction senses row-wise through matched paths and
     /// is unaffected to first order).
+    ///
+    /// The per-row gains are tabulated here, once; an array whose gains
+    /// are all exactly 1.0 keeps no table.
     pub fn with_ir_drop(mut self, model: IrDropModel) -> Self {
+        let rows = self.rows;
+        // A non-positive α reads as ideal wires, as it always has.
+        let gains: Vec<f64> = if model.alpha > 0.0 {
+            (0..rows).map(|r| model.row_gain(r, rows)).collect()
+        } else {
+            Vec::new()
+        };
+        self.ir_gains = (!gains.iter().all(|&g| g == 1.0)).then(|| gains.into());
         self.ir_drop = model;
         self
     }
@@ -230,15 +246,16 @@ impl Crossbar {
             Fidelity::Column => {
                 let sigma = self.noise.column_sigma(self.rows);
                 let survival = (1.0 - self.noise.stuck_at_rate) * self.noise.write_gain();
-                if self.ir_drop.alpha > 0.0 {
-                    let drop = &self.ir_drop;
-                    for (j, o) in out.iter_mut().enumerate() {
-                        *o =
-                            drop.attenuated_dot_words(self.packed.row(j), query.words(), self.rows)
-                                * survival;
+                if let Some(gains) = &self.ir_gains {
+                    gain_table_dots(&self.packed, gains, query.words(), out);
+                    for o in out.iter_mut() {
+                        *o *= survival;
                     }
                 } else {
-                    // Ideal dot products through the packed popcount MVM.
+                    // Unit gains: the ideal dot products through the packed
+                    // popcount MVM. A sum of ±1.0 terms is an exact
+                    // integer, so this is bit-identical to the attenuated
+                    // dot with every gain 1.0.
                     self.packed.similarities_into(query, out);
                     if survival != 1.0 {
                         for o in out.iter_mut() {
@@ -387,6 +404,38 @@ impl Crossbar {
     pub fn mvm_weighted(&mut self, weights: &[f64]) -> Vec<f64> {
         self.try_mvm_weighted(weights)
             .expect("crossbar must be active for MVM")
+    }
+}
+
+/// Columns summed side by side by [`gain_table_dots`].
+const GAIN_BLOCK: usize = 8;
+
+/// The IR-drop similarity read from a precomputed gain table: column `j`
+/// gets `Σ_r gains[r] · sign_r`, with the same terms added in the same row
+/// order as [`IrDropModel::attenuated_dot_words`], so every output has the
+/// reference's bits. Columns go in blocks of [`GAIN_BLOCK`] so that the
+/// block's running sums are independent additions.
+fn gain_table_dots(packed: &PackedCodebook, gains: &[f64], query: &[u64], out: &mut [f64]) {
+    for (j0, block) in (0..).step_by(GAIN_BLOCK).zip(out.chunks_mut(GAIN_BLOCK)) {
+        let n = block.len();
+        // The first term of every column is a non-zero gain, so starting
+        // from +0.0 matches the reference's `sum()` from any zero.
+        let mut acc = [0.0f64; GAIN_BLOCK];
+        for (wi, word_gains) in gains.chunks(64).enumerate() {
+            let mut disagree = [0u64; GAIN_BLOCK];
+            for (c, x) in disagree[..n].iter_mut().enumerate() {
+                *x = packed.row(j0 + c)[wi] ^ query[wi];
+            }
+            for (b, &g) in word_gains.iter().enumerate() {
+                // `g · (±1.0)` is `g` with its sign bit set on a
+                // disagreeing row.
+                let g = g.to_bits();
+                for (a, &x) in acc[..n].iter_mut().zip(&disagree[..n]) {
+                    *a += f64::from_bits(g ^ ((x >> b & 1) << 63));
+                }
+            }
+        }
+        block.copy_from_slice(&acc[..n]);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Property-based tests for the device and circuit models.
 
 use cim::adc::{AdcConfig, SarAdc};
-use cim::crossbar::{Crossbar, Fidelity};
+use cim::crossbar::{Crossbar, Fidelity, TiledCrossbar};
 use cim::dac::BitSerialDac;
 use cim::irdrop::IrDropModel;
 use cim::noise::NoiseSpec;
@@ -86,6 +86,58 @@ proptest! {
             prop_assert!(g > 0.0 && g <= 1.0 + 1e-12);
             prop_assert!(g + 1e-12 >= last, "gain must grow toward the sense amp");
             last = g;
+        }
+    }
+
+    #[test]
+    fn ir_drop_read_matches_reference_bits(
+        alpha in 0.0f64..1.0,
+        words in 0usize..4,
+        tail in 1usize..64,
+        m in 1usize..=64,
+        tiles in 1usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Rows are never a multiple of 64, so the last word is ragged. Zero
+        // sigmas draw no noise; stuck-at and write compression make the
+        // survival gain differ from 1.
+        let rows = 64 * words + tail;
+        let noise = NoiseSpec {
+            stuck_at_rate: 0.003,
+            write_nonlinearity: 0.1,
+            ..NoiseSpec::ideal()
+        };
+        let survival = (1.0 - noise.stuck_at_rate) * noise.write_gain();
+        let mut rng = rng_from_seed(seed);
+        let book = Codebook::random(m, rows * tiles, &mut rng);
+        let q = BipolarVector::random(rows * tiles, &mut rng);
+        for mitigated in [false, true] {
+            let model = IrDropModel { alpha, mitigated };
+            // Tile `t` holds rows [t·rows, (t+1)·rows) of every column.
+            let slice = |v: &BipolarVector, t: usize| {
+                let mut s = BipolarVector::neg_ones(rows);
+                s.copy_bit_range_from(v, t * rows);
+                s
+            };
+            let tile_ref = |j: usize, t: usize| {
+                let (col, qt) = (slice(book.vector(j), t), slice(&q, t));
+                model.attenuated_dot_words(col.words(), qt.words(), rows) * survival
+            };
+
+            let first = Codebook::from_vectors((0..m).map(|j| slice(book.vector(j), 0)).collect());
+            let mut mono = Crossbar::program(&first, noise, Fidelity::Column, seed).with_ir_drop(model);
+            let out = mono.mvm_bipolar(&slice(&q, 0));
+            for (j, o) in out.iter().enumerate() {
+                prop_assert_eq!(o.to_bits(), tile_ref(j, 0).to_bits(), "column {} mitigated {}", j, mitigated);
+            }
+
+            let mut tiled = TiledCrossbar::program(&book, rows, noise, Fidelity::Column, seed)
+                .with_ir_drop(model);
+            let out = tiled.mvm_bipolar(&q);
+            for (j, o) in out.iter().enumerate() {
+                let expect = (0..tiles).fold(0.0, |acc, t| acc + tile_ref(j, t));
+                prop_assert_eq!(o.to_bits(), expect.to_bits(), "tiled column {} mitigated {}", j, mitigated);
+            }
         }
     }
 

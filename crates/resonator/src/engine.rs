@@ -304,6 +304,10 @@ impl ResonatorLoop {
         let mut sums = vec![0.0f64; d];
         let mut sparse = vec![0.0f64; m];
         let mut composed = BipolarVector::ones(d);
+        // Storage for the per-factor list of the other estimates. It holds
+        // no references between factors (see `recycle`), so the estimates
+        // stay free to update.
+        let mut others_store: Vec<&BipolarVector> = Vec::with_capacity(f);
 
         let mut detector = CycleDetector::new();
         let mut times = PhaseTimes::default();
@@ -328,20 +332,15 @@ impl ResonatorLoop {
                 // Sequential order reads the freshest estimates (already
                 // written into `next` for factors < fi), synchronous order
                 // reads only the previous iteration's state.
-                let others: Vec<&BipolarVector> = (0..f)
-                    .filter(|&j| j != fi)
-                    .map(|j| match self.config.update_order {
-                        UpdateOrder::Sequential => {
-                            if j < fi {
-                                &next[j]
-                            } else {
-                                &estimates[j]
-                            }
-                        }
-                        UpdateOrder::Synchronous => &estimates[j],
-                    })
-                    .collect();
+                let mut others = recycle(std::mem::take(&mut others_store));
+                others.extend((0..f).filter(|&j| j != fi).map(
+                    |j| match self.config.update_order {
+                        UpdateOrder::Sequential if j < fi => &next[j],
+                        UpdateOrder::Sequential | UpdateOrder::Synchronous => &estimates[j],
+                    },
+                ));
                 kernels.unbind_into(query, &others, &mut unbound);
+                others_store = recycle(others);
                 times.unbind += t0.elapsed();
 
                 let t1 = Instant::now();
@@ -445,6 +444,17 @@ impl ResonatorLoop {
         outcome.times = times;
         outcome
     }
+}
+
+/// Empties `v` and hands its allocation back under a fresh borrow
+/// lifetime. The standard library collects a `vec::IntoIter` mapped to a
+/// same-layout element in place, reusing the source buffer, so this does
+/// not allocate (`tests/alloc_free.rs` pins that).
+fn recycle<'b>(mut v: Vec<&BipolarVector>) -> Vec<&'b BipolarVector> {
+    v.clear();
+    v.into_iter()
+        .map(|_| unreachable!("the vector is empty"))
+        .collect()
 }
 
 #[cfg(test)]

@@ -774,7 +774,20 @@ fn connection_pump(shared: Arc<Shared>, conn_id: u64, stream: TcpStream) {
     shared.open_conns.fetch_sub(1, Ordering::SeqCst);
 }
 
+/// Socket options for an accepted connection: `TCP_NODELAY`, so a small
+/// response frame leaves at once instead of waiting on Nagle's algorithm
+/// for the client's delayed ACK, and the configured read timeout. Each
+/// option is applied even if the other fails; the first error is returned.
+fn configure_accepted(stream: &TcpStream, read_timeout: Option<Duration>) -> io::Result<()> {
+    let nodelay = stream.set_nodelay(true);
+    let timeout = read_timeout.map_or(Ok(()), |t| stream.set_read_timeout(Some(t)));
+    nodelay.and(timeout)
+}
+
 fn connection_serve(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream, open: usize) {
+    // Best-effort: a socket that refuses an option keeps the default
+    // (buffered, blocking) behavior.
+    let _ = configure_accepted(&stream, shared.config.read_timeout);
     let writer: ConnWriter = match stream.try_clone() {
         Ok(w) => Arc::new(Mutex::new(w)),
         Err(_) => return,
@@ -789,11 +802,6 @@ fn connection_serve(shared: &Arc<Shared>, conn_id: u64, stream: TcpStream, open:
         send_error(&writer, "server at connection capacity");
         let _ = stream.shutdown(Shutdown::Both);
         return;
-    }
-    if let Some(t) = shared.config.read_timeout {
-        // Best-effort: a socket that refuses the option just keeps the
-        // blocking behavior.
-        let _ = stream.set_read_timeout(Some(t));
     }
     let mut reader = stream;
 
@@ -1242,6 +1250,26 @@ mod tests {
             ring.record(s);
         }
         ring
+    }
+
+    #[test]
+    fn accepted_sockets_get_nodelay_and_the_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        assert!(
+            !accepted.nodelay().expect("nodelay"),
+            "sockets start buffered"
+        );
+        configure_accepted(&accepted, None).expect("configure");
+        assert!(accepted.nodelay().expect("nodelay"));
+        assert_eq!(accepted.read_timeout().expect("timeout"), None);
+        let t = Duration::from_millis(250);
+        configure_accepted(&accepted, Some(t)).expect("configure");
+        // The kernel keeps the timeout in clock ticks and may round it up.
+        let got = accepted.read_timeout().expect("timeout");
+        assert!(got.is_some_and(|got| got >= t), "read timeout {got:?}");
+        drop(client);
     }
 
     #[test]
