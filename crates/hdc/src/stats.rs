@@ -7,10 +7,31 @@
 use rand::Rng;
 
 /// Draws one standard-normal sample via the Box–Muller transform.
+///
+/// Each draw takes exactly two uniforms from `rng`, `u1` and then `u2`
+/// ([`box_muller_uniforms`]), and maps them through [`box_muller`]. The
+/// similarity readout's skip path (`resonator::readout`) depends on this:
+/// it takes the same two uniforms and decides from `u1` alone whether the
+/// transcendental part can be skipped.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
-    // Avoid ln(0) by sampling u1 from the half-open (0, 1].
+    let (u1, u2) = box_muller_uniforms(rng);
+    box_muller(u1, u2)
+}
+
+/// The two uniforms one [`standard_normal`] draw consumes, in draw order:
+/// `u1` from the half-open `(0, 1]` (avoiding `ln(0)`), then `u2` from
+/// `[0, 1)`.
+#[inline]
+pub fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();
+    (u1, u2)
+}
+
+/// The Box–Muller map of two uniforms to one standard-normal sample. Its
+/// magnitude is at most `sqrt(-2 ln u1)`.
+#[inline]
+pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 

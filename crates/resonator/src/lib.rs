@@ -50,6 +50,7 @@ pub mod convergence;
 pub mod engine;
 pub mod lockstep;
 pub mod metrics;
+pub mod readout;
 pub mod software;
 pub mod superposed;
 
@@ -61,5 +62,6 @@ pub use engine::{
     DegeneratePolicy, FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
 pub use lockstep::{BatchedResonator, LockstepProblem};
+pub use readout::NoisyReadout;
 pub use software::{BaselineResonator, SoftwareKernels, SoftwareRunSummary, StochasticResonator};
 pub use superposed::{explain_away, ExplainAwayConfig, SuperposedOutcome};

@@ -19,6 +19,11 @@
 //! - every problem owns its loop RNG (degenerate re-draws) and kernel RNG
 //!   (similarity noise), seeded exactly as the sequential path seeds them,
 //!   and draws from them in the same order;
+//! - both paths read similarities through the same [`NoisyReadout`]. Its
+//!   skip path writes a tabulated code without the Box–Muller
+//!   transcendentals only when the draw provably cannot change it, and
+//!   still takes both uniforms of every draw, so the output and the RNG
+//!   position are bit-identical to the reference readout;
 //! - the batched MVMs are value-identical to the per-query kernels (exact
 //!   integers for similarities, identical floating-point evaluation order
 //!   for projections);
@@ -47,8 +52,8 @@ use crate::convergence::CycleDetector;
 use crate::engine::{
     CycleAction, DegeneratePolicy, FactorizationOutcome, LoopConfig, PhaseTimes, UpdateOrder,
 };
+use crate::readout::NoisyReadout;
 use hdc::rng::rng_from_seed;
-use hdc::stats::normal;
 use hdc::{BipolarVector, Codebook, PackedBatch};
 
 /// One problem of a lockstep batch: the query, optional ground truth, and
@@ -103,7 +108,8 @@ impl BatchedResonator {
     ///
     /// # Panics
     ///
-    /// Panics if `config.max_iters == 0` or `noise_sigma < 0`.
+    /// Panics if `config.max_iters == 0`, `noise_sigma < 0`, or the
+    /// activation is malformed ([`Activation::validate`]).
     pub fn new(
         config: LoopConfig,
         noise_sigma: f64,
@@ -112,6 +118,7 @@ impl BatchedResonator {
     ) -> Self {
         assert!(config.max_iters > 0, "need at least one iteration");
         assert!(noise_sigma >= 0.0, "noise sigma must be non-negative");
+        activation.validate();
         Self {
             config,
             noise_sigma,
@@ -157,6 +164,9 @@ impl BatchedResonator {
             }
         }
         let b = problems.len();
+        // Built once per batch: the skip table depends only on the shape
+        // and the stochasticity model, never on the iteration.
+        let readout = NoisyReadout::new(d, self.noise_sigma, self.rectify, self.activation, 1.0);
 
         // The initial state is identical for every problem: every
         // candidate in superposition. Computed once, cloned per slot.
@@ -244,26 +254,14 @@ impl BatchedResonator {
                 codebooks[fi]
                     .packed()
                     .similarities_batch_into(&batch, &mut sims[..active.len() * m]);
-                // Per-problem post-processing in slot order: noise from
-                // the slot's own kernel RNG, rectification, activation —
-                // the exact op sequence of `similarity_weights_into`.
+                // Per-problem readout in slot order, with noise from the
+                // slot's own kernel RNG: the readout `SoftwareKernels`
+                // applies.
                 projecting.clear();
                 for (k, &s) in active.iter().enumerate() {
                     let slot = &mut slots[s];
                     slot.weights.copy_from_slice(&sims[k * m..(k + 1) * m]);
-                    if self.noise_sigma > 0.0 {
-                        for w in slot.weights.iter_mut() {
-                            *w += normal(0.0, self.noise_sigma, &mut slot.noise_rng);
-                        }
-                    }
-                    if self.rectify {
-                        for w in slot.weights.iter_mut() {
-                            if *w < 0.0 {
-                                *w = 0.0;
-                            }
-                        }
-                    }
-                    self.activation.apply(&mut slot.weights);
+                    readout.apply(&mut slot.weights, &mut slot.noise_rng);
                     projecting.push(s);
                 }
                 let similarity_t = t1.elapsed() / n_active;

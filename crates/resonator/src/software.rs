@@ -16,8 +16,8 @@ use crate::engine::{
     FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
 use crate::lockstep::{BatchedResonator, LockstepProblem};
+use crate::readout::NoisyReadout;
 use hdc::rng::{derive_seed, rng_from_seed};
-use hdc::stats::normal;
 use hdc::{BipolarVector, Codebook, ProblemSpec};
 
 /// Stream namespace separating the stochastic engine's loop seed from its
@@ -30,30 +30,27 @@ const STOCHASTIC_LOOP_NS: u64 = 0xD15C;
 #[derive(Debug)]
 pub struct SoftwareKernels<'a> {
     codebooks: &'a [Codebook],
-    /// Gaussian sigma added to each similarity element, in dot-product
-    /// units (≈ `cell_sigma · sqrt(D)` to mimic a crossbar column).
-    noise_sigma: f64,
-    /// Clip negative similarities to zero before the activation — the
-    /// standard non-negative readout that removes the resonator's
-    /// sign-flip attractors (an even number of negated estimates composes
-    /// to the same product vector but decodes wrong). Physically this is
-    /// the `VTGT`-referenced sense path passing only positive differential
-    /// currents.
-    rectify: bool,
-    activation: Activation,
-    /// Deterministic multiplicative gain on every similarity (fraction of
-    /// devices *not* stuck at HRS, times any write-window compression);
-    /// `1.0` is the ideal array and is skipped exactly.
-    survival: f64,
+    /// Survival gain, Gaussian similarity noise (≈ `cell_sigma · sqrt(D)`
+    /// dot units to mimic a crossbar column), rectification and
+    /// activation, applied to every raw similarity vector.
+    readout: NoisyReadout,
     rng: StdRng,
 }
 
 impl<'a> SoftwareKernels<'a> {
     /// Creates kernels over `codebooks` with the given stochasticity model.
     ///
+    /// `rectify` clips negative similarities to zero before the
+    /// activation — the standard non-negative readout that removes the
+    /// resonator's sign-flip attractors (an even number of negated
+    /// estimates composes to the same product vector but decodes wrong).
+    /// Physically this is the `VTGT`-referenced sense path passing only
+    /// positive differential currents.
+    ///
     /// # Panics
     ///
-    /// Panics if `codebooks` is empty or shapes disagree.
+    /// Panics if `codebooks` is empty, shapes disagree, `noise_sigma` is
+    /// negative, or the activation is malformed.
     pub fn new(
         codebooks: &'a [Codebook],
         noise_sigma: f64,
@@ -68,13 +65,9 @@ impl<'a> SoftwareKernels<'a> {
             codebooks.iter().all(|c| c.dim() == dim && c.len() == m),
             "codebooks must share shape"
         );
-        assert!(noise_sigma >= 0.0, "noise sigma must be non-negative");
         Self {
             codebooks,
-            noise_sigma,
-            rectify,
-            activation,
-            survival: 1.0,
+            readout: NoisyReadout::new(dim, noise_sigma, rectify, activation, 1.0),
             rng: rng_from_seed(seed),
         }
     }
@@ -88,11 +81,7 @@ impl<'a> SoftwareKernels<'a> {
     ///
     /// Panics unless `survival` is in `(0, 1]`.
     pub fn with_survival(mut self, survival: f64) -> Self {
-        assert!(
-            survival > 0.0 && survival <= 1.0,
-            "survival must be in (0, 1]"
-        );
-        self.survival = survival;
+        self.readout = self.readout.with_survival(survival);
         self
     }
 }
@@ -124,24 +113,7 @@ impl ResonatorKernels for SoftwareKernels<'_> {
 
     fn similarity_weights_into(&mut self, factor: usize, query: &BipolarVector, out: &mut [f64]) {
         self.codebooks[factor].similarities_into(query, out);
-        if self.survival != 1.0 {
-            for w in out.iter_mut() {
-                *w *= self.survival;
-            }
-        }
-        if self.noise_sigma > 0.0 {
-            for w in out.iter_mut() {
-                *w += normal(0.0, self.noise_sigma, &mut self.rng);
-            }
-        }
-        if self.rectify {
-            for w in out.iter_mut() {
-                if *w < 0.0 {
-                    *w = 0.0;
-                }
-            }
-        }
-        self.activation.apply(out);
+        self.readout.apply(out, &mut self.rng);
     }
 
     fn project_into(&mut self, factor: usize, weights: &[f64], out: &mut [f64]) {

@@ -1,7 +1,8 @@
 //! `ResonatorLoop::run` allocates its scratch once per run, never per
-//! iteration. A counting global allocator (this test binary's own) checks
-//! that a run capped at 100 iterations allocates no more than one capped
-//! at 10.
+//! iteration, and so does the kernels' noisy readout (its skip table is
+//! built with the kernels). A counting global allocator (this test
+//! binary's own) checks that a run capped at 100 iterations allocates no
+//! more than one capped at 10.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -47,16 +48,16 @@ fn count_allocs(f: impl FnOnce()) -> u64 {
     ALLOCS.with(|c| c.replace(None)).expect("counting was on")
 }
 
-#[test]
-fn run_allocations_do_not_grow_with_iterations() {
-    let mut rng = rng_from_seed(2024);
-    let books: Vec<Codebook> = (0..3)
-        .map(|_| Codebook::random(16, 256, &mut rng))
-        .collect();
-    // A random query is no product of codevectors: no decode re-composes
-    // to it, so neither budget converges.
-    let query = BipolarVector::random(256, &mut rng);
-    let allocs_at = |max_iters: usize| {
+/// Allocations of one run over a random (unsolvable) query at each
+/// budget, building the kernels with `make_kernels` inside the counted
+/// region; asserts every run spends its whole budget.
+fn allocs_per_budget<'a>(
+    books: &'a [Codebook],
+    query: &BipolarVector,
+    make_kernels: impl Fn() -> SoftwareKernels<'a>,
+    budgets: [usize; 2],
+) -> [u64; 2] {
+    budgets.map(|max_iters| {
         let config = LoopConfig {
             // Cycle recording keeps a growing set of visited states; this
             // test is about the per-iteration scratch.
@@ -64,10 +65,11 @@ fn run_allocations_do_not_grow_with_iterations() {
             ..LoopConfig::stochastic(max_iters)
         };
         let engine = ResonatorLoop::new(config);
-        let mut kernels = SoftwareKernels::new(&books, 2.0, false, Activation::Identity, 7);
         let mut outcome = None;
-        let allocs =
-            count_allocs(|| outcome = Some(engine.run(&mut kernels, &books, &query, None, 11)));
+        let allocs = count_allocs(|| {
+            let mut kernels = make_kernels();
+            outcome = Some(engine.run(&mut kernels, books, query, None, 11));
+        });
         let outcome = outcome.expect("run finished");
         assert!(!outcome.solved, "a random query must not solve");
         assert_eq!(
@@ -75,9 +77,61 @@ fn run_allocations_do_not_grow_with_iterations() {
             "the run must use its whole budget"
         );
         allocs
-    };
-    let (short, long) = (allocs_at(10), allocs_at(100));
+    })
+}
+
+fn books_and_random_query(dim: usize) -> (Vec<Codebook>, BipolarVector) {
+    let mut rng = rng_from_seed(2024);
+    let books: Vec<Codebook> = (0..3)
+        .map(|_| Codebook::random(16, dim, &mut rng))
+        .collect();
+    // A random query is no product of codevectors: no decode re-composes
+    // to it, so neither budget converges.
+    let query = BipolarVector::random(dim, &mut rng);
+    (books, query)
+}
+
+#[test]
+fn run_allocations_do_not_grow_with_iterations() {
+    let (books, query) = books_and_random_query(256);
+    let [short, long] = allocs_per_budget(
+        &books,
+        &query,
+        || SoftwareKernels::new(&books, 2.0, false, Activation::Identity, 7),
+        [10, 100],
+    );
     assert!(short > 0, "the counter must see the run's own scratch");
+    assert!(
+        long <= short,
+        "100 iterations allocated {long} times, 10 iterations {short} times"
+    );
+}
+
+#[test]
+fn paper_default_readout_builds_its_table_once_per_run() {
+    // The paper-default stochastic readout: chip-calibrated noise,
+    // rectification, 4-bit noise-referenced activation — the
+    // configuration whose skip table is non-empty.
+    let dim = 256;
+    let (books, query) = books_and_random_query(dim);
+    let sigma = 0.139 * (dim as f64).sqrt();
+    let act = Activation::noise_referenced(4, dim, 3.0);
+    let [short, long] = allocs_per_budget(
+        &books,
+        &query,
+        || SoftwareKernels::new(&books, sigma, true, act, 7),
+        [10, 100],
+    );
+    let [bare, _] = allocs_per_budget(
+        &books,
+        &query,
+        || SoftwareKernels::new(&books, sigma, false, Activation::Identity, 7),
+        [10, 100],
+    );
+    assert!(
+        short > bare,
+        "the skip table must be built inside the counted run ({short} vs {bare} allocations)"
+    );
     assert!(
         long <= short,
         "100 iterations allocated {long} times, 10 iterations {short} times"

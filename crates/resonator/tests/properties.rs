@@ -3,8 +3,9 @@
 use hdc::rng::rng_from_seed;
 use hdc::{FactorizationProblem, ProblemSpec};
 use proptest::prelude::*;
+use rand::RngCore;
 use resonator::engine::{Factorizer, UpdateOrder};
-use resonator::{Activation, BaselineResonator, LoopConfig, StochasticResonator};
+use resonator::{Activation, BaselineResonator, LoopConfig, NoisyReadout, StochasticResonator};
 
 fn arb_spec() -> impl Strategy<Value = ProblemSpec> {
     (
@@ -13,6 +14,103 @@ fn arb_spec() -> impl Strategy<Value = ProblemSpec> {
         prop_oneof![Just(128usize), Just(256)],
     )
         .prop_map(|(f, m, d)| ProblemSpec::new(f, m, d))
+}
+
+/// Replays scripted raw words as an RNG, so a test can place a
+/// Box–Muller draw's uniforms exactly where it wants them.
+struct Scripted(std::vec::IntoIter<u64>);
+
+impl RngCore for Scripted {
+    fn next_u64(&mut self) -> u64 {
+        self.0.next().expect("script exhausted")
+    }
+}
+
+/// The raw word whose uniform draw `gen::<f64>()` is `u` (snapped to the
+/// draw's `2^-53` grid, clamped into `[0, 1)`).
+fn word_for_uniform(u: f64) -> u64 {
+    let top = (1u64 << 53) - 1;
+    ((u * (1u64 << 53) as f64).round().clamp(0.0, top as f64) as u64) << 11
+}
+
+/// Pre-gain similarities `s` within ±3 of every code boundary `±(k + ½)·step`
+/// after the survival gain, plus both ends of the range and just past
+/// them.
+fn boundary_similarities(dim: usize, step: f64, max_code: f64, survival: f64) -> Vec<i64> {
+    let d = dim as i64;
+    let mut out = vec![-d - 1, -d, d, d + 1];
+    for k in 0..max_code as i64 {
+        let b = ((k as f64 + 0.5) * step / survival).round() as i64;
+        for c in [b, -b] {
+            out.extend((c - 3..=c + 3).filter(|s| s.abs() <= d + 1));
+        }
+    }
+    out
+}
+
+proptest! {
+    // Cheap cases (no resonator runs), so many of them: the skip path's
+    // rounding margin only shows on scripted draws at the threshold.
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn noisy_readout_matches_reference_bits(
+        dim in prop_oneof![Just(64usize), Just(100), Just(256), Just(1024)],
+        bits in 2u8..=8,
+        lsb in prop_oneof![Just(0.5f64), Just(1.0), Just(2.0), 0.5f64..4.0],
+        // σ in LSBs: tiny (every draw skips), the window where draws
+        // sit near the boundaries, wide, and one where nothing skips.
+        sigma_lsbs in prop_oneof![1e-4f64..1e-1, 0.05f64..1.0, 1.0f64..100.0, Just(1e12)],
+        survival in prop_oneof![Just(1.0f64), 0.5f64..1.0],
+        seed in 0u64..1000,
+    ) {
+        let act = Activation::noise_referenced(bits, dim, lsb);
+        let (step, max_code) = (act.step().unwrap(), act.max_code().unwrap());
+        let sigma = sigma_lsbs * step;
+        let readout = NoisyReadout::new(dim, sigma, true, act, survival);
+        let sims = boundary_similarities(dim, step, max_code, survival);
+
+        // Random streams: every similarity read several times over, plus
+        // values that are not exact integers.
+        let mut input: Vec<f64> = sims.iter().map(|&s| s as f64).collect();
+        input.extend([0.5, -0.0, 1e300, -1e300, -7.25, f64::NAN]);
+        let (mut fast_rng, mut ref_rng) = (rng_from_seed(seed), rng_from_seed(seed));
+        for pass in 0..4 {
+            let (mut fast, mut reference) = (input.clone(), input.clone());
+            readout.apply(&mut fast, &mut fast_rng);
+            readout.apply_reference(&mut reference, &mut ref_rng);
+            for (i, (f, r)) in fast.iter().zip(&reference).enumerate() {
+                prop_assert_eq!(f.to_bits(), r.to_bits(), "pass {} input {}", pass, input[i]);
+            }
+        }
+        prop_assert_eq!(fast_rng.next_u64(), ref_rng.next_u64(), "draws consumed differ");
+
+        // Scripted draws on the skip threshold of each similarity: u1 a
+        // few grid steps either side of the u1 at which the largest draw
+        // exactly reaches the nearest boundary, with cos(2π·u2) = ±1.
+        for &s in &sims {
+            let a = if survival != 1.0 { s as f64 * survival } else { s as f64 };
+            let nearest = (0..max_code as i64)
+                .map(|k| ((k as f64 + 0.5) * step - a).abs())
+                .fold(f64::INFINITY, f64::min);
+            let t = (-0.5 * (nearest / sigma).powi(2)).exp();
+            for j in -2i32..=2 {
+                for u2 in [0.0, 0.5] {
+                    let u1_word = word_for_uniform(1.0 - t) as i64 + (j as i64) * (1 << 11);
+                    let words = vec![u1_word.max(0) as u64, word_for_uniform(u2)];
+                    let (mut fast, mut reference) = ([s as f64], [s as f64]);
+                    readout.apply(&mut fast, &mut Scripted(words.clone().into_iter()));
+                    readout.apply_reference(&mut reference, &mut Scripted(words.into_iter()));
+                    prop_assert_eq!(
+                        fast[0].to_bits(),
+                        reference[0].to_bits(),
+                        "s {} u1 step {} u2 {}", s, j, u2
+                    );
+                }
+            }
+        }
+    }
+
 }
 
 proptest! {

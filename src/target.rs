@@ -48,13 +48,12 @@ use cim::xnor::XnorUnit;
 use h3dfact_core::accelerator::AnalogKernels;
 use h3dfact_core::{H3dFactConfig, PcmEngine};
 use hdc::rng::{derive_seed, rng_from_seed};
-use hdc::stats::normal;
 use hdc::{BipolarVector, Codebook, ProblemSpec};
 use rand::rngs::StdRng;
 use resonator::engine::{
     FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
-use resonator::{Activation, StochasticResonator};
+use resonator::{Activation, NoisyReadout, StochasticResonator};
 use std::fmt;
 use thermal::{LumpedStack, Stack};
 
@@ -255,15 +254,12 @@ struct DigitalState {
 
 /// The software kernel family (baseline / stochastic / PCM comparator),
 /// mirroring `SoftwareKernels` exactly: same RNG stream, same
-/// survival-noise-rectify-activation order.
+/// [`NoisyReadout`].
 struct SoftwareFamily {
     loop_config: LoopConfig,
     /// Loop-seed namespace; `None` uses the run seed raw.
     loop_ns: Option<u64>,
-    noise_sigma: f64,
-    rectify: bool,
-    activation: Activation,
-    survival: f64,
+    readout: NoisyReadout,
     rng: Option<StdRng>,
     /// PCM cost mirror (`None` for the costless software engines).
     cost: Option<PcmEngine>,
@@ -367,10 +363,13 @@ impl FunctionalTarget {
                 Family::Software(SoftwareFamily {
                     loop_config: LoopConfig::stochastic(max_iters),
                     loop_ns: Some(PCM_LOOP_NS),
-                    noise_sigma: engine.noise_sigma(),
-                    rectify: true,
-                    activation: Activation::noise_referenced(adc_bits.unwrap_or(4), spec.dim, 3.0),
-                    survival: engine.survival(),
+                    readout: NoisyReadout::new(
+                        spec.dim,
+                        engine.noise_sigma(),
+                        true,
+                        Activation::noise_referenced(adc_bits.unwrap_or(4), spec.dim, 3.0),
+                        engine.survival(),
+                    ),
                     rng: None,
                     cost: Some(engine),
                 })
@@ -378,10 +377,7 @@ impl FunctionalTarget {
             BackendKind::Baseline => Family::Software(SoftwareFamily {
                 loop_config: LoopConfig::baseline(max_iters),
                 loop_ns: None,
-                noise_sigma: 0.0,
-                rectify: false,
-                activation: Activation::Identity,
-                survival: 1.0,
+                readout: NoisyReadout::new(spec.dim, 0.0, false, Activation::Identity, 1.0),
                 rng: None,
                 cost: None,
             }),
@@ -393,14 +389,17 @@ impl FunctionalTarget {
                 Family::Software(SoftwareFamily {
                     loop_config: LoopConfig::stochastic(max_iters),
                     loop_ns: Some(STOCHASTIC_LOOP_NS),
-                    noise_sigma: cell_sigma * (spec.dim as f64).sqrt(),
-                    rectify: true,
-                    activation: Activation::noise_referenced(
-                        bits,
+                    readout: NoisyReadout::new(
                         spec.dim,
-                        StochasticResonator::DEFAULT_LSB_SIGMAS,
+                        cell_sigma * (spec.dim as f64).sqrt(),
+                        true,
+                        Activation::noise_referenced(
+                            bits,
+                            spec.dim,
+                            StochasticResonator::DEFAULT_LSB_SIGMAS,
+                        ),
+                        1.0,
                     ),
-                    survival: 1.0,
                     rng: None,
                     cost: None,
                 })
@@ -484,25 +483,8 @@ impl Target for FunctionalTarget {
             }
             Family::Software(sw) => {
                 codebooks[factor].similarities_into(query, out);
-                if sw.survival != 1.0 {
-                    for w in out.iter_mut() {
-                        *w *= sw.survival;
-                    }
-                }
-                if sw.noise_sigma > 0.0 {
-                    let rng = sw.rng.as_mut().expect("begin_run before RNG");
-                    for w in out.iter_mut() {
-                        *w += normal(0.0, sw.noise_sigma, rng);
-                    }
-                }
-                if sw.rectify {
-                    for w in out.iter_mut() {
-                        if *w < 0.0 {
-                            *w = 0.0;
-                        }
-                    }
-                }
-                sw.activation.apply(out);
+                let rng = sw.rng.as_mut().expect("begin_run before RNG");
+                sw.readout.apply(out, rng);
             }
         }
     }
