@@ -302,6 +302,50 @@ impl ResonatorKernels for AnalogKernels {
     }
 }
 
+/// Aggregates per-item [`RunStats`] (solved at consecutive run cursors)
+/// into the batch-level report of the SRAM-buffered batch schedule
+/// (Sec. IV-A) on a design clocked at `frequency_mhz`: energy, tier
+/// switches, ADC conversions and degenerate events sum over the items,
+/// cycles and latency come from the amortized batch pipeline, and the
+/// buffer peak covers the batch schedule's staging. This is the single
+/// definition of the batch roll-up: [`H3dFact::factorize_batch`] uses it
+/// after solving sequentially, and the facade's target backend uses it
+/// after solving the same items on its own or across worker engines.
+///
+/// # Panics
+///
+/// Panics if `per_item` is empty.
+pub fn batch_run_stats(factors: usize, frequency_mhz: f64, per_item: &[RunStats]) -> RunStats {
+    assert!(!per_item.is_empty(), "batch must be non-empty");
+    let mut energy = EnergyLedger::new();
+    let mut tier_switches = 0u64;
+    let mut adc_conversions = 0u64;
+    let mut degenerate_events = 0usize;
+    let mut buffer_peak_bits = 0u64;
+    let mut total_iters = 0usize;
+    for stats in per_item {
+        energy.merge(&stats.energy);
+        tier_switches += stats.tier_switches;
+        adc_conversions += stats.adc_conversions;
+        degenerate_events += stats.degenerate_events;
+        buffer_peak_bits = buffer_peak_bits.max(stats.buffer_peak_bits);
+        total_iters += stats.iterations;
+    }
+    // Batch-level cycles/latency from the amortized schedule.
+    let schedule = IterationSchedule::compute(&ScheduleConfig::paper(factors, per_item.len()));
+    let cycles = schedule.cycles * (total_iters as u64 / per_item.len() as u64).max(1);
+    RunStats {
+        iterations: total_iters,
+        cycles,
+        latency_s: cycles as f64 / (frequency_mhz * 1e6),
+        energy,
+        tier_switches,
+        adc_conversions,
+        degenerate_events,
+        buffer_peak_bits: buffer_peak_bits.max(schedule.buffer_peak_bits),
+    }
+}
+
 /// The simulated H3DFact accelerator.
 pub struct H3dFact {
     cfg: H3dFactConfig,
@@ -375,49 +419,19 @@ impl H3dFact {
         self.runs = cursor;
     }
 
-    /// Aggregates per-item [`RunStats`] (solved at consecutive run cursors)
-    /// into the batch-level report of the SRAM-buffered batch schedule and
-    /// records it as this engine's last run. This is the single definition
-    /// of the batch roll-up: [`H3dFact::factorize_batch`] uses it after
-    /// solving sequentially, and the session-level parallel executor uses
-    /// it after solving the same items across worker engines.
+    /// Records the batch-level report of per-item [`RunStats`] (solved at
+    /// consecutive run cursors) as this engine's last run — see
+    /// [`batch_run_stats`].
     ///
     /// # Panics
     ///
     /// Panics if `per_item` is empty.
     pub fn install_batch_stats(&mut self, per_item: &[RunStats]) {
-        assert!(!per_item.is_empty(), "batch must be non-empty");
-        let mut energy = EnergyLedger::new();
-        let mut tier_switches = 0u64;
-        let mut adc_conversions = 0u64;
-        let mut degenerate_events = 0usize;
-        let mut buffer_peak_bits = 0u64;
-        let mut total_iters = 0usize;
-        for stats in per_item {
-            energy.merge(&stats.energy);
-            tier_switches += stats.tier_switches;
-            adc_conversions += stats.adc_conversions;
-            degenerate_events += stats.degenerate_events;
-            buffer_peak_bits = buffer_peak_bits.max(stats.buffer_peak_bits);
-            total_iters += stats.iterations;
-        }
-        // Batch-level cycles/latency from the amortized schedule.
-        let schedule = IterationSchedule::compute(&ScheduleConfig::paper(
+        self.last_stats = Some(batch_run_stats(
             self.cfg.spec.factors,
-            per_item.len(),
+            self.frequency_mhz(),
+            per_item,
         ));
-        let cycles = schedule.cycles * (total_iters as u64 / per_item.len() as u64).max(1);
-        let freq_hz = self.frequency_mhz() * 1e6;
-        self.last_stats = Some(RunStats {
-            iterations: total_iters,
-            cycles,
-            latency_s: cycles as f64 / freq_hz,
-            energy,
-            tier_switches,
-            adc_conversions,
-            degenerate_events,
-            buffer_peak_bits: buffer_peak_bits.max(schedule.buffer_peak_bits),
-        });
     }
 
     /// Factorizes a batch of queries over shared codebooks with the

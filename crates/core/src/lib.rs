@@ -33,7 +33,7 @@ pub mod config;
 pub mod pcm;
 pub mod stats;
 
-pub use accelerator::H3dFact;
+pub use accelerator::{batch_run_stats, H3dFact};
 pub use baselines::{DigitalKernels, Hybrid2dEngine, Sram2dEngine};
 pub use config::H3dFactConfig;
 pub use pcm::{pcm_reference_report, PcmComparison, PcmEngine, PcmLinkModel};

@@ -47,7 +47,6 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::activation::Activation;
 use crate::convergence::CycleDetector;
 use crate::engine::{
     CycleAction, DegeneratePolicy, FactorizationOutcome, LoopConfig, PhaseTimes, UpdateOrder,
@@ -88,43 +87,30 @@ struct Slot {
     fixed_point: bool,
 }
 
-/// The lockstep batched stepper over software resonator kernels (identity
-/// or quantized activation, optional Gaussian similarity noise and
-/// rectification — the parameter space of
-/// [`crate::software::SoftwareKernels`]).
+/// The lockstep batched stepper over software resonator kernels: any
+/// [`NoisyReadout`] (survival gain, Gaussian similarity noise,
+/// rectification, activation — the parameter space of
+/// [`crate::software::SoftwareKernels`]) under any loop configuration.
 ///
 /// See the [module docs](self) for the bit-exactness contract.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchedResonator {
+#[derive(Debug, Clone, Copy)]
+pub struct BatchedResonator<'r> {
     config: LoopConfig,
-    noise_sigma: f64,
-    rectify: bool,
-    activation: Activation,
+    readout: &'r NoisyReadout,
 }
 
-impl BatchedResonator {
-    /// Creates a stepper with the given loop configuration and software
-    /// kernel stochasticity model.
+impl<'r> BatchedResonator<'r> {
+    /// Creates a stepper with the given loop configuration, reading every
+    /// similarity vector through `readout` — the same readout the
+    /// sequential kernels apply, so one stepper covers the deterministic
+    /// baseline, the stochastic model and fault-attenuated arrays alike.
     ///
     /// # Panics
     ///
-    /// Panics if `config.max_iters == 0`, `noise_sigma < 0`, or the
-    /// activation is malformed ([`Activation::validate`]).
-    pub fn new(
-        config: LoopConfig,
-        noise_sigma: f64,
-        rectify: bool,
-        activation: Activation,
-    ) -> Self {
+    /// Panics if `config.max_iters == 0`.
+    pub fn new(config: LoopConfig, readout: &'r NoisyReadout) -> Self {
         assert!(config.max_iters > 0, "need at least one iteration");
-        assert!(noise_sigma >= 0.0, "noise sigma must be non-negative");
-        activation.validate();
-        Self {
-            config,
-            noise_sigma,
-            rectify,
-            activation,
-        }
+        Self { config, readout }
     }
 
     /// The loop configuration in use.
@@ -164,9 +150,7 @@ impl BatchedResonator {
             }
         }
         let b = problems.len();
-        // Built once per batch: the skip table depends only on the shape
-        // and the stochasticity model, never on the iteration.
-        let readout = NoisyReadout::new(d, self.noise_sigma, self.rectify, self.activation, 1.0);
+        let readout = self.readout;
 
         // The initial state is identical for every problem: every
         // candidate in superposition. Computed once, cloned per slot.
@@ -424,6 +408,7 @@ impl BatchedResonator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::Activation;
     use crate::engine::{Factorizer, ResonatorLoop};
     use crate::software::SoftwareKernels;
     use crate::{BaselineResonator, StochasticResonator};
@@ -470,7 +455,8 @@ mod tests {
                 loop_seed: derive_seed(derive_seed(77, i as u64), 0xD15C),
             })
             .collect();
-        let batched = BatchedResonator::new(config, sigma, true, act).run(&books, &items);
+        let readout = NoisyReadout::new(spec.dim, sigma, true, act, 1.0);
+        let batched = BatchedResonator::new(config, &readout).run(&books, &items);
 
         for (i, p) in probs.iter().enumerate() {
             let run_seed = derive_seed(77, i as u64);
@@ -576,8 +562,8 @@ mod tests {
     #[test]
     fn empty_batch_is_a_no_op() {
         let (books, _) = problems(1, ProblemSpec::new(2, 4, 128), 903);
-        let out = BatchedResonator::new(LoopConfig::baseline(10), 0.0, false, Activation::Identity)
-            .run(&books, &[]);
+        let readout = NoisyReadout::new(128, 0.0, false, Activation::Identity, 1.0);
+        let out = BatchedResonator::new(LoopConfig::baseline(10), &readout).run(&books, &[]);
         assert!(out.is_empty());
     }
 }

@@ -140,9 +140,8 @@ pub struct SoftwareRunSummary {
 
 impl SoftwareRunSummary {
     /// The single definition of how a run outcome condenses into the
-    /// summary — shared by the sequential engines' `last_run_summary`
-    /// bookkeeping and the facade's lockstep per-item reports, so the
-    /// two can never diverge.
+    /// summary — shared by the engines' sequential and lockstep
+    /// `last_run_summary` bookkeeping, so the two can never diverge.
     pub fn of(outcome: &FactorizationOutcome) -> Self {
         Self {
             iterations: outcome.iterations,
@@ -228,8 +227,8 @@ impl BaselineResonator {
             })
             .collect();
         self.runs += queries.len() as u64;
-        let outcomes = BatchedResonator::new(self.config, 0.0, false, Activation::Identity)
-            .run(codebooks, &problems);
+        let readout = NoisyReadout::new(codebooks[0].dim(), 0.0, false, Activation::Identity, 1.0);
+        let outcomes = BatchedResonator::new(self.config, &readout).run(codebooks, &problems);
         self.last_run = outcomes.last().map(SoftwareRunSummary::of);
         outcomes
     }
@@ -386,8 +385,14 @@ impl StochasticResonator {
             })
             .collect();
         self.runs += queries.len() as u64;
-        let outcomes = BatchedResonator::new(self.config, self.noise_sigma, true, self.activation)
-            .run(codebooks, &problems);
+        let readout = NoisyReadout::new(
+            codebooks[0].dim(),
+            self.noise_sigma,
+            true,
+            self.activation,
+            1.0,
+        );
+        let outcomes = BatchedResonator::new(self.config, &readout).run(codebooks, &problems);
         self.last_run = outcomes.last().map(SoftwareRunSummary::of);
         outcomes
     }

@@ -1,11 +1,14 @@
 //! Property-based tests for the resonator loop invariants.
 
-use hdc::rng::rng_from_seed;
+use hdc::rng::{derive_seed, rng_from_seed};
 use hdc::{FactorizationProblem, ProblemSpec};
 use proptest::prelude::*;
 use rand::RngCore;
-use resonator::engine::{Factorizer, UpdateOrder};
-use resonator::{Activation, BaselineResonator, LoopConfig, NoisyReadout, StochasticResonator};
+use resonator::engine::{Factorizer, ResonatorLoop, UpdateOrder};
+use resonator::{
+    Activation, BaselineResonator, BatchedResonator, LockstepProblem, LoopConfig, NoisyReadout,
+    SoftwareKernels, StochasticResonator,
+};
 
 fn arb_spec() -> impl Strategy<Value = ProblemSpec> {
     (
@@ -258,6 +261,47 @@ proptest! {
         prop_assert_eq!(seq.run_cursor(), locked.run_cursor());
         for (i, (g, e)) in got.into_iter().zip(&expected).enumerate() {
             prop_assert_eq!(strip(g), e.clone(), "stochastic problem {} diverged", i);
+        }
+
+        // Fault-attenuated readout (survival < 1, the PCM comparator with
+        // stuck-at cells and write-window compression): the stepper reads
+        // through the caller's readout, gain included, so it must match
+        // the sequential kernels carrying the same survival.
+        let survival = (1.0 - 0.2) * 0.9;
+        let sigma = StochasticResonator::CHIP_CELL_SIGMA * (spec.dim as f64).sqrt();
+        let act = Activation::noise_referenced(4, spec.dim, 3.0);
+        let config = LoopConfig::stochastic(budget);
+        let run_seed = |i: usize| derive_seed(seed, i as u64);
+        let loop_seed = |i: usize| derive_seed(run_seed(i), 0x9C31);
+        let expected: Vec<_> = problems
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let mut kernels = SoftwareKernels::new(&books, sigma, true, act, run_seed(i))
+                    .with_survival(survival);
+                strip(ResonatorLoop::new(config).run(
+                    &mut kernels,
+                    &books,
+                    p.product(),
+                    Some(p.true_indices()),
+                    loop_seed(i),
+                ))
+            })
+            .collect();
+        let items: Vec<LockstepProblem<'_>> = problems
+            .iter()
+            .enumerate()
+            .map(|(i, p)| LockstepProblem {
+                query: p.product(),
+                truth: Some(p.true_indices()),
+                kernel_seed: run_seed(i),
+                loop_seed: loop_seed(i),
+            })
+            .collect();
+        let readout = NoisyReadout::new(spec.dim, sigma, true, act, survival);
+        let got = BatchedResonator::new(config, &readout).run(&books, &items);
+        for (i, (g, e)) in got.into_iter().zip(&expected).enumerate() {
+            prop_assert_eq!(strip(g), e.clone(), "faulty-readout problem {} diverged", i);
         }
     }
 

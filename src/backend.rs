@@ -1,4 +1,4 @@
-//! The unified engine abstraction: every factorization engine in the
+//! The unified backend interface: every factorization engine in the
 //! workspace — device-accurate hardware simulations and algorithm-level
 //! software models alike — is drivable through one object-safe trait.
 //!
@@ -6,33 +6,23 @@
 //! keeps as a supertrait so kernel-level code keeps working): on top of
 //! `factorize`/`factorize_query` it adds engine identification
 //! ([`Backend::name`]), capability discovery ([`Backend::capabilities`]),
-//! batched solving ([`Backend::factorize_batch`]) and uniform run
-//! reporting ([`Backend::last_run_stats`] returning a common
-//! [`RunReport`]).
+//! lockstep and batched solving ([`Backend::factorize_lockstep`],
+//! [`Backend::factorize_batch`]) and uniform run reporting
+//! ([`Backend::last_run_stats`] returning a common [`RunReport`]).
 //!
-//! Code rarely calls a `Backend` directly: `Session` drives one per
-//! configured [`BackendKind`](crate::session::BackendKind), and the
+//! Its one implementation is
+//! [`TargetBackend`](crate::target::TargetBackend): any of the six
+//! [`BackendKind`](crate::session::BackendKind)s executing its kernels on
+//! a [`Target`](crate::target::Target) — the bit-exact functional target
+//! by default. Code rarely calls a `Backend` directly: `Session` drives
+//! one per configured kind, and the
 //! [`Workload`](crate::workload::Workload) layer routes whole experiments
-//! through it — anything implementing this trait automatically serves
-//! every workload, batched and threaded.
-//!
-//! The six engines implementing it:
-//!
-//! | backend | substrate | stochastic | cost model |
-//! |---|---|---|---|
-//! | [`H3dFact`] | 3-tier RRAM CIM | yes | full (energy+latency) |
-//! | [`Hybrid2dEngine`] | monolithic 2D RRAM CIM | yes | full |
-//! | [`Sram2dEngine`] | digital SRAM CIM | no | full |
-//! | [`PcmEngine`] | two-die PCM CIM | yes | full (package links) |
-//! | [`BaselineResonator`] | software | no | none |
-//! | [`StochasticResonator`] | software | yes | none |
+//! through it, batched and threaded.
 
 use cim::energy::EnergyLedger;
-use h3dfact_core::{H3dFact, Hybrid2dEngine, PcmEngine, RunStats, Sram2dEngine};
 use hdc::{BipolarVector, Codebook};
-use resonator::batch::{run_batch, BatchItem, BatchOutcome};
+use resonator::batch::{BatchItem, BatchOutcome};
 use resonator::engine::{FactorizationOutcome, Factorizer};
-use resonator::{BaselineResonator, SoftwareRunSummary, StochasticResonator};
 
 /// What a backend models and how it can be driven.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,49 +67,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    pub(crate) fn from_hardware(backend: &'static str, stats: &RunStats) -> Self {
-        Self {
-            backend,
-            iterations: stats.iterations,
-            degenerate_events: stats.degenerate_events,
-            cycles: Some(stats.cycles),
-            latency_s: Some(stats.latency_s),
-            energy: Some(stats.energy.clone()),
-            tier_switches: Some(stats.tier_switches),
-            adc_conversions: Some(stats.adc_conversions),
-            buffer_peak_bits: Some(stats.buffer_peak_bits),
-        }
-    }
-
-    pub(crate) fn from_software(backend: &'static str, summary: SoftwareRunSummary) -> Self {
-        Self {
-            backend,
-            iterations: summary.iterations,
-            degenerate_events: summary.degenerate_events,
-            cycles: None,
-            latency_s: None,
-            energy: None,
-            tier_switches: None,
-            adc_conversions: None,
-            buffer_peak_bits: None,
-        }
-    }
-
-    /// Reconstructs hardware [`RunStats`] from this report (missing cost
-    /// fields become zeros/empty), for batch-level roll-ups.
-    fn to_run_stats(&self) -> RunStats {
-        RunStats {
-            iterations: self.iterations,
-            cycles: self.cycles.unwrap_or(0),
-            latency_s: self.latency_s.unwrap_or(0.0),
-            energy: self.energy.clone().unwrap_or_default(),
-            tier_switches: self.tier_switches.unwrap_or(0),
-            adc_conversions: self.adc_conversions.unwrap_or(0),
-            degenerate_events: self.degenerate_events,
-            buffer_peak_bits: self.buffer_peak_bits.unwrap_or(0),
-        }
-    }
-
     /// Total energy in joules, when an energy model exists.
     pub fn energy_j(&self) -> Option<f64> {
         self.energy.as_ref().map(|e| e.total())
@@ -195,35 +142,15 @@ impl RunTotals {
 pub type LockstepQuery<'a> = (&'a BipolarVector, Option<&'a [usize]>);
 
 /// One lockstep-solved item: the outcome plus the per-run report the
-/// engine would have produced for the same item via `factorize_query` —
+/// backend would have produced for the same item via `factorize_query` —
 /// bit-identical to the sequential call stream, so executors can fold
 /// costs from lockstep batches exactly as they fold per-item solves.
 #[derive(Debug, Clone)]
 pub struct LockstepSolve {
     /// The item's factorization outcome.
     pub outcome: FactorizationOutcome,
-    /// The engine's per-run report for the item, when the engine
-    /// produces one.
-    pub report: Option<RunReport>,
-}
-
-/// Builds the per-item [`LockstepSolve`]s a software engine's lockstep
-/// batch implies: each report is exactly what `last_run_stats` would have
-/// returned right after the item's sequential solve.
-fn software_lockstep_solves(
-    backend: &'static str,
-    outcomes: Vec<FactorizationOutcome>,
-) -> Vec<LockstepSolve> {
-    outcomes
-        .into_iter()
-        .map(|outcome| LockstepSolve {
-            report: Some(RunReport::from_software(
-                backend,
-                SoftwareRunSummary::of(&outcome),
-            )),
-            outcome,
-        })
-        .collect()
+    /// The backend's per-run report for the item.
+    pub report: RunReport,
 }
 
 /// The unified, object-safe interface over every factorization engine.
@@ -255,263 +182,38 @@ pub trait Backend: Factorizer + Send {
     /// each batch item the cursor it would have had sequentially.
     fn seek_run(&mut self, cursor: u64);
 
-    /// Solves `queries` as one lockstep batch when the engine has a
-    /// batched stepper: item `i` is solved at run cursor
-    /// `run_cursor() + i`, the cursor advances past the batch, and
-    /// outcomes and reports are **bit-identical** (up to wall-clock
-    /// phase times) to the equivalent sequential `factorize_query` call
-    /// stream. Returns `None` (the default) when the engine has no
-    /// lockstep path — the simulated hardware engines, whose kernels
-    /// carry per-run device state — in which case callers fall back to
-    /// per-item solving.
+    /// Solves `queries` as one lockstep batch: item `i` is solved at run
+    /// cursor `run_cursor() + i`, the cursor advances past the batch, and
+    /// outcomes and reports are **bit-identical** (up to wall-clock phase
+    /// times) to the equivalent sequential `factorize_query` call stream.
+    /// Targets with a batched stepper advance every item one iteration at
+    /// a time through matrix–matrix kernels; the others are solved item by
+    /// item inside the call.
     fn factorize_lockstep(
         &mut self,
         codebooks: &[Codebook],
         queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let _ = (codebooks, queries);
-        None
-    }
+    ) -> Vec<LockstepSolve>;
 
-    /// Factorizes every item against shared codebooks.
-    ///
-    /// The default implementation routes through the engine's lockstep
-    /// batch path when it has one (bitwise identical to per-item calls,
-    /// but matrix–matrix in the kernels), chunked at the executor's
-    /// lockstep bound so batch scratch stays `O(chunk)` however large the
-    /// item set is; engines without a stepper solve sequentially, and
-    /// backends with a native batch schedule override the whole method to
-    /// amortize hardware cost.
+    /// Factorizes every item against shared codebooks, in lockstep chunks
+    /// bounded so batch scratch stays `O(chunk)` however large the item
+    /// set is. Backends with a native batch schedule report the whole
+    /// batch afterwards ([`Backend::fold_batch_reports`]); the others
+    /// report the last item.
     ///
     /// # Panics
     ///
     /// Panics if `items` is empty or shapes disagree.
-    fn factorize_batch(&mut self, codebooks: &[Codebook], items: &[BatchItem]) -> BatchOutcome {
-        assert!(!items.is_empty(), "batch must be non-empty");
-        let mut outcomes = Vec::with_capacity(items.len());
-        for chunk in items.chunks(crate::executor::LOCKSTEP_CHUNK) {
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self.factorize_lockstep(codebooks, &queries) {
-                Some(solves) => outcomes.extend(solves.into_iter().map(|s| s.outcome)),
-                None => {
-                    // No stepper: the cursor is exactly where the solved
-                    // prefix left it, so the remainder runs per-item.
-                    let rest = run_batch(self, codebooks, &items[outcomes.len()..]);
-                    outcomes.extend(rest.outcomes);
-                    break;
-                }
-            }
-        }
-        BatchOutcome::from_outcomes(outcomes)
-    }
+    fn factorize_batch(&mut self, codebooks: &[Codebook], items: &[BatchItem]) -> BatchOutcome;
 
     /// Folds per-item run reports — produced by an executor that solved a
-    /// batch item-by-item at the same run cursors — into this engine's
+    /// batch item-by-item at the same run cursors — into this backend's
     /// batch-level report, exactly as its native `factorize_batch` would.
-    /// Returns `false` (the default) when the engine has no native batch
-    /// roll-up, in which case the last item's report stands.
-    fn fold_batch_reports(&mut self, per_item: &[RunReport]) -> bool {
-        let _ = per_item;
-        false
-    }
+    /// Returns `false` when the backend has no native batch roll-up, in
+    /// which case the last item's report stands.
+    fn fold_batch_reports(&mut self, per_item: &[RunReport]) -> bool;
 
     /// The target-level [`CostReport`](crate::target::CostReport) of the
-    /// most recent run, for backends driven through a
-    /// [`Target`](crate::target::Target). `None` (the default) for the
-    /// direct engines, whose costs surface through [`RunReport`] only.
-    fn last_cost_report(&self) -> Option<crate::target::CostReport> {
-        None
-    }
-}
-
-impl Backend for H3dFact {
-    fn name(&self) -> &'static str {
-        "h3dfact-3d"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: true,
-            energy_model: true,
-            latency_model: true,
-            native_batch: true,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        H3dFact::last_run_stats(self).map(|s| RunReport::from_hardware(Backend::name(self), s))
-    }
-
-    fn run_cursor(&self) -> u64 {
-        H3dFact::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        H3dFact::set_run_cursor(self, cursor);
-    }
-
-    fn factorize_batch(&mut self, codebooks: &[Codebook], items: &[BatchItem]) -> BatchOutcome {
-        // The SRAM-buffered batch schedule of Sec. IV-A.
-        H3dFact::factorize_batch(self, codebooks, items)
-    }
-
-    fn fold_batch_reports(&mut self, per_item: &[RunReport]) -> bool {
-        let stats: Vec<RunStats> = per_item.iter().map(RunReport::to_run_stats).collect();
-        self.install_batch_stats(&stats);
-        true
-    }
-}
-
-impl Backend for Hybrid2dEngine {
-    fn name(&self) -> &'static str {
-        "hybrid-2d"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: true,
-            energy_model: true,
-            latency_model: true,
-            native_batch: false,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        Hybrid2dEngine::last_run_stats(self)
-            .map(|s| RunReport::from_hardware(Backend::name(self), s))
-    }
-    fn run_cursor(&self) -> u64 {
-        Hybrid2dEngine::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        Hybrid2dEngine::set_run_cursor(self, cursor);
-    }
-}
-
-impl Backend for Sram2dEngine {
-    fn name(&self) -> &'static str {
-        "sram-2d"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: false,
-            energy_model: true,
-            latency_model: true,
-            native_batch: false,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        Sram2dEngine::last_run_stats(self).map(|s| RunReport::from_hardware(Backend::name(self), s))
-    }
-    fn run_cursor(&self) -> u64 {
-        Sram2dEngine::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        Sram2dEngine::set_run_cursor(self, cursor);
-    }
-}
-
-impl Backend for PcmEngine {
-    fn name(&self) -> &'static str {
-        "pcm-2die"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: true,
-            energy_model: true,
-            latency_model: true,
-            native_batch: false,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        PcmEngine::last_run_stats(self).map(|s| RunReport::from_hardware(Backend::name(self), s))
-    }
-    fn run_cursor(&self) -> u64 {
-        PcmEngine::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        PcmEngine::set_run_cursor(self, cursor);
-    }
-}
-
-impl Backend for BaselineResonator {
-    fn name(&self) -> &'static str {
-        "baseline-sw"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: false,
-            energy_model: false,
-            latency_model: false,
-            native_batch: false,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        self.last_run_summary()
-            .map(|s| RunReport::from_software(Backend::name(self), s))
-    }
-    fn run_cursor(&self) -> u64 {
-        BaselineResonator::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        BaselineResonator::set_run_cursor(self, cursor);
-    }
-
-    fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let outcomes = BaselineResonator::factorize_lockstep(self, codebooks, queries);
-        Some(software_lockstep_solves(Backend::name(self), outcomes))
-    }
-}
-
-impl Backend for StochasticResonator {
-    fn name(&self) -> &'static str {
-        "stochastic-sw"
-    }
-
-    fn capabilities(&self) -> Capabilities {
-        Capabilities {
-            stochastic: true,
-            energy_model: false,
-            latency_model: false,
-            native_batch: false,
-        }
-    }
-
-    fn last_run_stats(&self) -> Option<RunReport> {
-        self.last_run_summary()
-            .map(|s| RunReport::from_software(Backend::name(self), s))
-    }
-    fn run_cursor(&self) -> u64 {
-        StochasticResonator::run_cursor(self)
-    }
-
-    fn seek_run(&mut self, cursor: u64) {
-        StochasticResonator::set_run_cursor(self, cursor);
-    }
-
-    fn factorize_lockstep(
-        &mut self,
-        codebooks: &[Codebook],
-        queries: &[LockstepQuery<'_>],
-    ) -> Option<Vec<LockstepSolve>> {
-        let outcomes = StochasticResonator::factorize_lockstep(self, codebooks, queries);
-        Some(software_lockstep_solves(Backend::name(self), outcomes))
-    }
+    /// most recent run. `None` before the first run.
+    fn last_cost_report(&self) -> Option<crate::target::CostReport>;
 }

@@ -1,15 +1,16 @@
 //! Deterministic parallel batch execution.
 //!
-//! Every engine derives the seed of its `k`-th solve purely from
+//! Every backend derives the seed of its `k`-th solve purely from
 //! `(engine seed, k)` — the run *cursor* exposed through
 //! [`Backend::run_cursor`] / [`Backend::seek_run`]. That makes batch items
-//! embarrassingly parallel without sacrificing reproducibility: a worker
-//! pool of independently constructed engines (same constructor seed)
-//! claims items dynamically, seeks each engine to the cursor the item
-//! would have had sequentially, and solves. Per-item outcomes and reports
-//! are therefore **bit-identical** to a sequential pass, and any
-//! order-sensitive aggregation (floating-point energy sums) is done
-//! afterwards in item order.
+//! embarrassingly parallel without sacrificing reproducibility: every
+//! item is a [`RequestSolve`] carrying its cursor, and a worker pool of
+//! independently constructed backends (same constructor seed) claims
+//! items dynamically, seeks each backend to the item's cursor, and
+//! solves. Per-item outcomes and reports are therefore **bit-identical**
+//! to a sequential pass ([`solve_inline`]), and any order-sensitive
+//! aggregation (floating-point energy sums) is done afterwards in item
+//! order. Session passes and service micro-batches share this one pool.
 //!
 //! The pool uses [`std::thread::scope`], so worker lifetimes are tied to
 //! the call and the shared codebooks are borrowed, not cloned.
@@ -17,16 +18,15 @@
 //! # Lockstep batching
 //!
 //! On top of per-item parallelism, every pass groups contiguous runs of
-//! same-shape items (same codebook set, consecutive run cursors) into
-//! **lockstep chunks** and offers each chunk to the engine's
-//! [`Backend::factorize_lockstep`] batch stepper, which advances all
-//! problems of the chunk one iteration at a time through the batched
-//! matrix–matrix kernels. Engines without a lockstep path (the simulated
-//! hardware), and stragglers that break a chunk's shape, fall back to the
-//! per-item solve. Chunking never changes outcomes: lockstep solves are
-//! bit-identical to the sequential per-item stream, so the determinism
-//! contracts (threads(N) ≡ threads(1), live ≡ replay) are preserved by
-//! construction.
+//! same-shape items (one backend, one codebook set, consecutive run
+//! cursors) into **lockstep chunks** and hands each chunk to
+//! [`Backend::factorize_lockstep`], which advances all problems of the
+//! chunk one iteration at a time through the batched matrix–matrix
+//! kernels where the target has a stepper, and solves them one by one
+//! where it has not (the simulated hardware). Chunking never changes
+//! outcomes: lockstep solves are bit-identical to the sequential per-item
+//! stream, so the determinism contracts (threads(N) ≡ threads(1), live ≡
+//! replay) are preserved by construction.
 //!
 //! # Work stealing
 //!
@@ -51,11 +51,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use hdc::{BipolarVector, Codebook};
-use resonator::batch::BatchItem;
-use resonator::engine::FactorizationOutcome;
 
-use crate::backend::{Backend, LockstepQuery, RunReport};
-use crate::workload::WorkloadItem;
+use crate::backend::{Backend, LockstepQuery, LockstepSolve};
 
 /// Upper bound on a lockstep chunk. Eight problems per batch already
 /// amortize each codebook tile across the whole chunk (the per-B bench
@@ -151,175 +148,14 @@ impl StealPool {
     }
 }
 
-/// One item's result from a parallel pass: the functional outcome plus the
-/// engine's per-run report (for cost aggregation in item order).
-pub(crate) struct IndexedSolve {
-    /// The factorization outcome of this item.
-    pub outcome: FactorizationOutcome,
-    /// The engine's report for this item, when the engine produces one.
-    pub report: Option<RunReport>,
-}
-
-/// Solves `n_items` queries across a scoped worker pool and returns
-/// results in item order. `factory` constructs one engine per worker (all
-/// with the same constructor seed); `fetch(i)` yields item `i`'s codebooks,
-/// query, and optional ground truth; item `i` is solved at run cursor
-/// `base_cursor + i`, exactly as a single sequential engine would have.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `n_items == 0`, or a worker panics.
-fn solve_each<'a, F>(
-    factory: &(dyn Fn() -> Box<dyn Backend> + Sync),
-    n_items: usize,
-    fetch: F,
-    base_cursor: u64,
-    threads: usize,
-) -> Vec<IndexedSolve>
-where
-    F: Fn(usize) -> (&'a [Codebook], &'a BipolarVector, Option<&'a [usize]>) + Sync,
-{
-    assert!(threads > 0, "worker pool needs at least one thread");
-    assert!(n_items > 0, "batch must be non-empty");
-    let workers = threads.min(n_items);
-    // Lockstep chunks: contiguous items sharing one codebook set (their
-    // cursors are consecutive by construction of `base_cursor + i`).
-    // Identity (`ptr::eq`), not content, defines "one set" — which is
-    // why every caller resolves its registry handle ONCE per pass and
-    // feeds the whole pass a single `Arc` slice: a mid-pass re-resolve
-    // could observe a rebuilt hot-tier allocation and split a chunk.
-    // (Splitting is only a throughput loss, never a correctness one, but
-    // the one-resolve-per-pass rule keeps chunking deterministic.)
-    let cap = chunk_cap(n_items, workers);
-    let mut chunks: Vec<Range<usize>> = Vec::new();
-    let mut start = 0usize;
-    for i in 1..n_items {
-        if i - start >= cap || !std::ptr::eq(fetch(i).0, fetch(start).0) {
-            chunks.push(start..i);
-            start = i;
-        }
-    }
-    chunks.push(start..n_items);
-    let pool = StealPool::new(chunks.len(), workers);
-    // One slot per item: workers write disjoint slots, so per-slot locks
-    // never contend beyond their own writer.
-    let slots: Vec<Mutex<Option<IndexedSolve>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let pool = &pool;
-            let chunks = &chunks;
-            let slots = &slots;
-            let fetch = &fetch;
-            scope.spawn(move || {
-                let mut engine = factory();
-                while let Some(c) = pool.next(w) {
-                    let chunk = chunks[c].clone();
-                    let codebooks = fetch(chunk.start).0;
-                    engine.seek_run(base_cursor + chunk.start as u64);
-                    let queries: Vec<LockstepQuery<'_>> = chunk
-                        .clone()
-                        .map(|i| {
-                            let (_, query, truth) = fetch(i);
-                            (query, truth)
-                        })
-                        .collect();
-                    if let Some(solves) = engine.factorize_lockstep(codebooks, &queries) {
-                        for (i, solve) in chunk.clone().zip(solves) {
-                            *slots[i].lock().expect("result slot poisoned") = Some(IndexedSolve {
-                                outcome: solve.outcome,
-                                report: solve.report,
-                            });
-                        }
-                    } else {
-                        // Per-item fallback for engines without a
-                        // lockstep stepper.
-                        for i in chunk.clone() {
-                            let (codebooks, query, truth) = fetch(i);
-                            engine.seek_run(base_cursor + i as u64);
-                            let outcome = engine.factorize_query(codebooks, query, truth);
-                            let report = engine.last_run_stats();
-                            *slots[i].lock().expect("result slot poisoned") =
-                                Some(IndexedSolve { outcome, report });
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every item solved by the pool")
-        })
-        .collect()
-}
-
-/// Solves a batch of items sharing one set of codebooks (the
-/// [`crate::session::Session::run`] shape). See [`solve_each`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `items` is empty, or a worker panics.
-pub(crate) fn solve_indexed(
-    factory: &(dyn Fn() -> Box<dyn Backend> + Sync),
-    codebooks: &[Codebook],
-    items: &[BatchItem],
-    base_cursor: u64,
-    threads: usize,
-) -> Vec<IndexedSolve> {
-    solve_each(
-        factory,
-        items.len(),
-        |i| (codebooks, &items[i].query, items[i].truth.as_deref()),
-        base_cursor,
-        threads,
-    )
-}
-
-/// Solves workload items, each addressing one of several codebook groups
-/// (fresh-codebook workloads like capacity sweeps need a group per trial;
-/// most workloads have exactly one). See [`solve_each`].
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `items` is empty, a group index is out of
-/// range, or a worker panics.
-pub(crate) fn solve_grouped(
-    factory: &(dyn Fn() -> Box<dyn Backend> + Sync),
-    groups: &[Vec<Codebook>],
-    items: &[WorkloadItem],
-    base_cursor: u64,
-    threads: usize,
-) -> Vec<IndexedSolve> {
-    solve_each(
-        factory,
-        items.len(),
-        |i| {
-            let item = &items[i];
-            (
-                groups[item.group].as_slice(),
-                &item.query,
-                item.truth.as_deref(),
-            )
-        },
-        base_cursor,
-        threads,
-    )
-}
-
-/// One service request ready to solve: which shard's engine solves it, at
-/// which run cursor, against which codebooks. Unlike the session batch
-/// shapes above, a single pass may span several shards (and therefore
-/// several engine constructions), which is how the service flushes a
-/// heterogeneous micro-batch through one worker pool.
+/// One item ready to solve: which backend solves it, at which run
+/// cursor, against which codebooks. A session pass is a run of items on
+/// one backend at consecutive cursors; a service micro-batch pass may
+/// span several shards (and therefore several backend constructions).
 pub(crate) struct RequestSolve<'a> {
-    /// Index into the factory table of the engine that owns this request.
+    /// Index into the factory table of the backend that owns this item.
     pub shard: usize,
-    /// Run cursor the request was assigned at admission.
+    /// Run cursor the item is solved at.
     pub cursor: u64,
     /// Codebooks the query is defined over.
     pub codebooks: &'a [Codebook],
@@ -329,35 +165,19 @@ pub(crate) struct RequestSolve<'a> {
     pub truth: Option<&'a [usize]>,
 }
 
-/// Solves a heterogeneous micro-batch across a scoped worker pool and
-/// returns results in item order. `factories[s]` constructs the engine of
-/// shard `s`; each worker instantiates a shard's engine lazily on first
-/// use and keeps it warm for the rest of the pass. Every request is solved
-/// at its admission-time cursor, so results are **bit-identical** to a
-/// serial replay of the same requests in any order — the property the
-/// service's trace/replay contract rests on.
-///
-/// # Panics
-///
-/// Panics if `threads == 0`, `requests` is empty, a shard index is out of
-/// range, or a worker panics.
-pub(crate) fn solve_requests(
-    factories: &[Box<dyn Fn() -> Box<dyn Backend> + Send + Sync>],
-    requests: &[RequestSolve<'_>],
-    threads: usize,
-) -> Vec<IndexedSolve> {
-    assert!(threads > 0, "worker pool needs at least one thread");
-    assert!(!requests.is_empty(), "micro-batch must be non-empty");
-    let n_items = requests.len();
-    let workers = threads.min(n_items);
-    // Lockstep chunks: maximal runs of requests on one shard with
-    // consecutive cursors over one codebook set (stragglers — shard
-    // switches, cursor gaps — start a new chunk and may end up solving
-    // per-item).
-    let cap = chunk_cap(n_items, workers);
+/// Splits `requests` into lockstep chunks of at most `cap` items: maximal
+/// runs on one shard with consecutive cursors over one codebook set
+/// (stragglers — shard switches, cursor gaps — start a new chunk).
+/// Identity (`ptr::eq`), not content, defines "one set" — which is why
+/// every caller resolves its registry handle ONCE per pass and feeds the
+/// whole pass a single `Arc` slice: a mid-pass re-resolve could observe a
+/// rebuilt hot-tier allocation and split a chunk. (Splitting is only a
+/// throughput loss, never a correctness one, but the one-resolve-per-pass
+/// rule keeps chunking deterministic.)
+fn lockstep_chunks(requests: &[RequestSolve<'_>], cap: usize) -> Vec<Range<usize>> {
     let mut chunks: Vec<Range<usize>> = Vec::new();
     let mut start = 0usize;
-    for i in 1..n_items {
+    for i in 1..requests.len() {
         let (prev, cur) = (&requests[i - 1], &requests[i]);
         if i - start >= cap
             || cur.shard != prev.shard
@@ -368,9 +188,60 @@ pub(crate) fn solve_requests(
             start = i;
         }
     }
-    chunks.push(start..n_items);
+    if !requests.is_empty() {
+        chunks.push(start..requests.len());
+    }
+    chunks
+}
+
+/// Solves one lockstep chunk on `engine`, starting at the chunk's cursor.
+fn solve_chunk(engine: &mut dyn Backend, chunk: &[RequestSolve<'_>]) -> Vec<LockstepSolve> {
+    let head = &chunk[0];
+    engine.seek_run(head.cursor);
+    let queries: Vec<LockstepQuery<'_>> = chunk.iter().map(|r| (r.query, r.truth)).collect();
+    engine.factorize_lockstep(head.codebooks, &queries)
+}
+
+/// Solves `requests` — all owned by `engine` — on the calling thread, in
+/// lockstep chunks, and returns results in item order. Leaves `engine`'s
+/// cursor past the last chunk.
+pub(crate) fn solve_inline(
+    engine: &mut dyn Backend,
+    requests: &[RequestSolve<'_>],
+) -> Vec<LockstepSolve> {
+    lockstep_chunks(requests, LOCKSTEP_CHUNK)
+        .into_iter()
+        .flat_map(|chunk| solve_chunk(engine, &requests[chunk]))
+        .collect()
+}
+
+/// Solves `requests` across a scoped worker pool and returns results in
+/// item order. `factories[s]` constructs the backend of shard `s`; each
+/// worker instantiates a shard's backend lazily on first use and keeps it
+/// warm for the rest of the pass. Every request is solved at its own
+/// cursor, so results are **bit-identical** to [`solve_inline`] and to a
+/// serial per-item replay of the same requests in any order — the
+/// property the session's `threads(N) ≡ threads(1)` and the service's
+/// trace/replay contracts rest on.
+///
+/// # Panics
+///
+/// Panics if `threads == 0`, `requests` is empty, a shard index is out of
+/// range, or a worker panics.
+pub(crate) fn solve_requests(
+    factories: &[Box<dyn Fn() -> Box<dyn Backend> + Send + Sync>],
+    requests: &[RequestSolve<'_>],
+    threads: usize,
+) -> Vec<LockstepSolve> {
+    assert!(threads > 0, "worker pool needs at least one thread");
+    assert!(!requests.is_empty(), "batch must be non-empty");
+    let n_items = requests.len();
+    let workers = threads.min(n_items);
+    let chunks = lockstep_chunks(requests, chunk_cap(n_items, workers));
     let pool = StealPool::new(chunks.len(), workers);
-    let slots: Vec<Mutex<Option<IndexedSolve>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
+    // One slot per item: workers write disjoint slots, so per-slot locks
+    // never contend beyond their own writer.
+    let slots: Vec<Mutex<Option<LockstepSolve>>> = (0..n_items).map(|_| Mutex::new(None)).collect();
 
     std::thread::scope(|scope| {
         for w in 0..workers {
@@ -382,30 +253,11 @@ pub(crate) fn solve_requests(
                     (0..factories.len()).map(|_| None).collect();
                 while let Some(c) = pool.next(w) {
                     let chunk = chunks[c].clone();
-                    let head = &requests[chunk.start];
-                    let engine = engines[head.shard].get_or_insert_with(|| factories[head.shard]());
-                    engine.seek_run(head.cursor);
-                    let queries: Vec<LockstepQuery<'_>> = requests[chunk.clone()]
-                        .iter()
-                        .map(|r| (r.query, r.truth))
-                        .collect();
-                    if let Some(solves) = engine.factorize_lockstep(head.codebooks, &queries) {
-                        for (i, solve) in chunk.clone().zip(solves) {
-                            *slots[i].lock().expect("result slot poisoned") = Some(IndexedSolve {
-                                outcome: solve.outcome,
-                                report: solve.report,
-                            });
-                        }
-                    } else {
-                        for i in chunk.clone() {
-                            let req = &requests[i];
-                            engine.seek_run(req.cursor);
-                            let outcome =
-                                engine.factorize_query(req.codebooks, req.query, req.truth);
-                            let report = engine.last_run_stats();
-                            *slots[i].lock().expect("result slot poisoned") =
-                                Some(IndexedSolve { outcome, report });
-                        }
+                    let shard = requests[chunk.start].shard;
+                    let engine = engines[shard].get_or_insert_with(|| factories[shard]());
+                    let solves = solve_chunk(engine.as_mut(), &requests[chunk.clone()]);
+                    for (i, solve) in chunk.zip(solves) {
+                        *slots[i].lock().expect("result slot poisoned") = Some(solve);
                     }
                 }
             });
@@ -439,7 +291,34 @@ mod tests {
     use crate::session::BackendKind;
     use hdc::rng::rng_from_seed;
     use hdc::ProblemSpec;
-    use resonator::batch::random_batch;
+    use resonator::batch::{random_batch, BatchItem};
+    use resonator::engine::FactorizationOutcome;
+
+    /// Solves `items` at cursors `base..` on a `threads`-worker pool of
+    /// stochastic backends built like `BackendKind::instantiate`.
+    fn pooled(
+        (spec, max_iters, seed): (ProblemSpec, usize, u64),
+        books: &[Codebook],
+        items: &[BatchItem],
+        base: u64,
+        threads: usize,
+    ) -> Vec<LockstepSolve> {
+        let factory: Box<dyn Fn() -> Box<dyn Backend> + Send + Sync> = Box::new(move || {
+            BackendKind::Stochastic.instantiate(spec, max_iters, seed, None, None)
+        });
+        let requests: Vec<RequestSolve<'_>> = items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| RequestSolve {
+                shard: 0,
+                cursor: base + i as u64,
+                codebooks: books,
+                query: &item.query,
+                truth: item.truth.as_deref(),
+            })
+            .collect();
+        solve_requests(std::slice::from_ref(&factory), &requests, threads)
+    }
 
     /// Strips the wall-clock profile (the only non-deterministic field)
     /// before comparing outcomes bit-for-bit.
@@ -458,14 +337,13 @@ mod tests {
             .collect();
         let (items, _) = random_batch(&books, 6, 501);
 
-        let factory = || BackendKind::Stochastic.instantiate(spec, 400, 9, None, None);
-        let mut sequential = factory();
+        let mut sequential = BackendKind::Stochastic.instantiate(spec, 400, 9, None, None);
         let expected: Vec<FactorizationOutcome> = items
             .iter()
             .map(|i| sequential.factorize_query(&books, &i.query, i.truth.as_deref()))
             .collect();
 
-        let parallel = solve_indexed(&factory, &books, &items, 0, 3);
+        let parallel = pooled((spec, 400, 9), &books, &items, 0, 3);
         assert_eq!(parallel.len(), expected.len());
         for (p, e) in parallel.iter().zip(&expected) {
             assert_eq!(
@@ -484,17 +362,15 @@ mod tests {
             .map(|_| Codebook::random(spec.codebook_size, spec.dim, &mut rng))
             .collect();
         let (items, _) = random_batch(&books, 3, 503);
-        let factory = || BackendKind::Stochastic.instantiate(spec, 400, 10, None, None);
-
-        // Sequential engine that has already issued 5 runs.
-        let mut warmed = factory();
+        // Sequential backend that has already issued 5 runs.
+        let mut warmed = BackendKind::Stochastic.instantiate(spec, 400, 10, None, None);
         warmed.seek_run(5);
         let expected: Vec<FactorizationOutcome> = items
             .iter()
             .map(|i| warmed.factorize_query(&books, &i.query, i.truth.as_deref()))
             .collect();
 
-        let parallel = solve_indexed(&factory, &books, &items, 5, 2);
+        let parallel = pooled((spec, 400, 10), &books, &items, 5, 2);
         for (p, e) in parallel.iter().zip(&expected) {
             assert_eq!(functional(&p.outcome), functional(e));
         }
@@ -582,9 +458,8 @@ mod tests {
                 item
             })
             .collect();
-        let factory = || BackendKind::Stochastic.instantiate(spec, 300, 11, None, None);
-        let sequential = solve_indexed(&factory, &books, &items, 0, 1);
-        let parallel = solve_indexed(&factory, &books, &items, 0, 4);
+        let sequential = pooled((spec, 300, 11), &books, &items, 0, 1);
+        let parallel = pooled((spec, 300, 11), &books, &items, 0, 4);
         assert_eq!(sequential.len(), parallel.len());
         for (i, (p, e)) in parallel.iter().zip(&sequential).enumerate() {
             assert_eq!(

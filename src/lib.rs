@@ -4,13 +4,16 @@
 //! concepts:
 //!
 //! - [`Backend`](backend::Backend) — the unified, object-safe interface
-//!   implemented by all six factorization engines: the device-accurate
+//!   over all six factorization engines: the device-accurate
 //!   [`H3dFact`](h3dfact_core::H3dFact) accelerator, the Table III
 //!   baselines ([`Sram2dEngine`](h3dfact_core::Sram2dEngine),
 //!   [`Hybrid2dEngine`](h3dfact_core::Hybrid2dEngine)), the two-die PCM
 //!   comparator ([`PcmEngine`](h3dfact_core::PcmEngine)), and the software
 //!   resonators ([`BaselineResonator`](resonator::BaselineResonator),
-//!   [`StochasticResonator`](resonator::StochasticResonator)).
+//!   [`StochasticResonator`](resonator::StochasticResonator)). Its one
+//!   implementation, [`TargetBackend`](target::TargetBackend), executes
+//!   any engine's kernels on a [`Target`](target::Target) — bit-identical
+//!   to the engine itself on the default functional target.
 //! - [`Session`](session::Session) — the top-level entry point owning
 //!   problem generation, batched solving with per-problem seeds, and
 //!   aggregate accuracy/energy/latency reporting, built fluently and

@@ -92,10 +92,11 @@ use hdc::rng::{derive_seed, stream_rng};
 use hdc::{BipolarVector, Codebook, FactorizationProblem, ProblemSpec};
 use resonator::engine::FactorizationOutcome;
 
-use crate::backend::{Backend, LockstepQuery, RunReport, RunTotals};
+use crate::backend::{Backend, LockstepSolve, RunReport, RunTotals};
 use crate::executor::{self, RequestSolve};
 use crate::registry::{CodebookHandle, CodebookRegistry};
 use crate::session::{BackendKind, Session};
+use crate::target::TargetKind;
 
 /// Stream namespace for [`FactorizationService::request_stream`] problem
 /// streams, mixed with the service seed through nested `derive_seed`.
@@ -324,6 +325,14 @@ pub enum ServiceBuildError {
     ZeroBatchSize,
     /// `queue_capacity` was zero (no request could ever be admitted).
     ZeroQueueCapacity,
+    /// A shard's backend kind cannot execute on the requested target (the
+    /// approximate tiled target models the analog crossbar path only).
+    UnsupportedTarget {
+        /// The shard's backend kind.
+        kind: BackendKind,
+        /// The requested target.
+        target: TargetKind,
+    },
 }
 
 impl fmt::Display for ServiceBuildError {
@@ -338,6 +347,9 @@ impl fmt::Display for ServiceBuildError {
             ServiceBuildError::ZeroBatchSize => write!(f, "batch_size must be at least 1"),
             ServiceBuildError::ZeroQueueCapacity => {
                 write!(f, "queue_capacity must be at least 1")
+            }
+            ServiceBuildError::UnsupportedTarget { kind, target } => {
+                write!(f, "{kind} shards cannot run on the {target} target")
             }
         }
     }
@@ -358,7 +370,7 @@ pub struct ServiceBuilder {
     flush_deadline: Duration,
     queue_capacity: usize,
     shards: Vec<(BackendKind, usize)>,
-    target: Option<crate::target::TargetKind>,
+    target: TargetKind,
     registry: Option<Arc<CodebookRegistry>>,
 }
 
@@ -375,7 +387,7 @@ impl Default for ServiceBuilder {
             flush_deadline: Duration::from_millis(2),
             queue_capacity: 64,
             shards: vec![(BackendKind::H3dFact, 1)],
-            target: None,
+            target: TargetKind::Functional,
             registry: None,
         }
     }
@@ -453,13 +465,11 @@ impl ServiceBuilder {
     }
 
     /// Execution target every shard routes its kernels through (default:
-    /// the engines' direct path). With
-    /// [`TargetKind::Functional`](crate::target::TargetKind::Functional)
-    /// outcomes and traces are bit-identical to the direct path, so a
-    /// trace captured on one target replays on any functionally
-    /// equivalent one — the cross-target equivalence contract.
-    pub fn target(mut self, target: crate::target::TargetKind) -> Self {
-        self.target = Some(target);
+    /// [`TargetKind::Functional`], bit-identical to the engines). A trace
+    /// captured on one target replays on any functionally equivalent one
+    /// — the cross-target equivalence contract.
+    pub fn target(mut self, target: TargetKind) -> Self {
+        self.target = target;
         self
     }
 
@@ -489,9 +499,11 @@ impl ServiceBuilder {
             return Err(ServiceBuildError::NoShards);
         }
         // The parent session pays codebook generation exactly once; every
-        // shard is carved from it with a disjoint seed lineage. The
-        // parent's own backend kind is irrelevant — a cheap software
-        // engine keeps warm-up fast.
+        // shard is carved from it, on the requested target, with a
+        // disjoint seed lineage. The parent's own backend never solves:
+        // a cheap software engine keeps warm-up fast, and the functional
+        // target supports every kind, so only the shards' (kind, target)
+        // pairings can be refused.
         let mut parent = Session::builder()
             .spec(spec)
             .backend(BackendKind::Baseline)
@@ -504,9 +516,6 @@ impl ServiceBuilder {
         if let Some(n) = self.noise {
             parent = parent.noise(n);
         }
-        if let Some(t) = self.target {
-            parent = parent.target(t);
-        }
         if let Some(r) = self.registry {
             parent = parent.registry(r);
         }
@@ -515,10 +524,17 @@ impl ServiceBuilder {
         let mut by_kind: BTreeMap<&'static str, Vec<usize>> = BTreeMap::new();
         for &(kind, count) in &self.shards {
             for _ in 0..count {
+                // Carving fails only on an unsupported (kind, target).
+                let session = parent.carve_shard_on(kind, self.target).map_err(|_| {
+                    ServiceBuildError::UnsupportedTarget {
+                        kind,
+                        target: self.target,
+                    }
+                })?;
                 by_kind.entry(kind.name()).or_default().push(shards.len());
                 shards.push(Shard {
                     kind,
-                    session: parent.carve_shard_as(kind),
+                    session,
                     next_cursor: 0,
                     pending: Vec::new(),
                 });
@@ -633,7 +649,7 @@ pub struct PreparedBatch {
 /// [`FactorizationService::complete_batch`].
 pub struct SolvedBatch {
     batch: PreparedBatch,
-    solves: Vec<executor::IndexedSolve>,
+    solves: Vec<LockstepSolve>,
 }
 
 impl PreparedBatch {
@@ -653,32 +669,27 @@ impl PreparedBatch {
         self.entries.is_empty()
     }
 
+    /// The batch's entries as executor requests (shard `0` of a
+    /// one-backend factory table) over `codebooks`.
+    fn requests<'a>(&'a self, codebooks: &'a [Codebook]) -> Vec<RequestSolve<'a>> {
+        self.entries
+            .iter()
+            .map(|e| RequestSolve {
+                shard: 0,
+                cursor: e.cursor,
+                codebooks,
+                query: &e.query,
+                truth: e.truth.as_deref(),
+            })
+            .collect()
+    }
+
     /// Solves the batch on `engine` (which must be a fresh-or-warmed
-    /// engine of this batch's shard) against the shared codebooks,
-    /// chunked through the engine's lockstep stepper when it has one.
-    /// Entry cursors are contiguous by formation, so one seek per chunk
-    /// suffices; outcomes are bit-identical to a serial per-item pass.
+    /// backend of this batch's shard) against the shared codebooks, in
+    /// lockstep chunks. Entry cursors are contiguous by formation;
+    /// outcomes are bit-identical to a serial per-item pass.
     pub fn solve_with(self, engine: &mut dyn Backend, codebooks: &[Codebook]) -> SolvedBatch {
-        let mut solves = Vec::with_capacity(self.entries.len());
-        for chunk in self.entries.chunks(executor::LOCKSTEP_CHUNK) {
-            engine.seek_run(chunk[0].cursor);
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|e| (&e.query, e.truth.as_deref()))
-                .collect();
-            match engine.factorize_lockstep(codebooks, &queries) {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => solves.extend(chunk.iter().map(|e| {
-                    engine.seek_run(e.cursor);
-                    let outcome = engine.factorize_query(codebooks, &e.query, e.truth.as_deref());
-                    let report = engine.last_run_stats();
-                    executor::IndexedSolve { outcome, report }
-                })),
-            }
-        }
+        let solves = executor::solve_inline(engine, &self.requests(codebooks));
         SolvedBatch {
             batch: self,
             solves,
@@ -718,7 +729,7 @@ pub struct FactorizationService {
     /// like the trace, kept after responses are taken so
     /// [`FactorizationService::tenant_stats`] can always fold in trace
     /// order. `None` until the request completes.
-    ledger: Vec<Option<(bool, Option<RunReport>)>>,
+    ledger: Vec<Option<(bool, RunReport)>>,
     stats: ServiceStats,
 }
 
@@ -1025,9 +1036,7 @@ impl FactorizationService {
                 });
             stats.requests += 1;
             stats.solved += usize::from(*solved);
-            if let Some(report) = report {
-                stats.totals.fold(report);
-            }
+            stats.totals.fold(report);
         }
         by_tenant.into_values().collect()
     }
@@ -1131,7 +1140,7 @@ impl FactorizationService {
                     shard: entry.shard,
                     cursor: e.cursor,
                     outcome: solve.outcome,
-                    report: solve.report,
+                    report: Some(solve.report),
                     wall_latency_s: Some(finished.duration_since(e.submitted).as_secs_f64()),
                 },
             );
@@ -1154,21 +1163,12 @@ impl FactorizationService {
         // identity). Tier state never changes outcomes, only footprint.
         let codebooks = self.parent.codebook_handle().resolve();
         let solved = if threads > 1 {
-            let factory: Box<dyn Fn() -> Box<dyn Backend> + Send + Sync> =
-                Box::new(self.shards[i].session.backend_factory());
-            let requests: Vec<RequestSolve<'_>> = batch
-                .entries
-                .iter()
-                .map(|e| RequestSolve {
-                    shard: 0,
-                    cursor: e.cursor,
-                    codebooks: &codebooks,
-                    query: &e.query,
-                    truth: e.truth.as_deref(),
-                })
-                .collect();
-            let solves =
-                executor::solve_requests(std::slice::from_ref(&factory), &requests, threads);
+            let factory = self.shard_engine_factory(i);
+            let solves = executor::solve_requests(
+                std::slice::from_ref(&factory),
+                &batch.requests(&codebooks),
+                threads,
+            );
             SolvedBatch { batch, solves }
         } else {
             let engine = self.shards[i].session.backend_mut();

@@ -1,6 +1,8 @@
 //! The top-level entry point: a [`Session`] owns one problem shape, one
-//! [`Backend`], problem generation, batched solving with per-problem
-//! seeds, and aggregate accuracy/energy/latency reporting.
+//! [`Backend`] — a [`TargetBackend`] executing the chosen engine's kernels
+//! on the chosen [`TargetKind`] (functional by default) — problem
+//! generation, batched solving with per-problem seeds, and aggregate
+//! accuracy/energy/latency reporting.
 //!
 //! ```
 //! use h3dfact::prelude::*;
@@ -21,19 +23,17 @@ use std::fmt;
 use std::sync::Arc;
 
 use cim::noise::NoiseSpec;
-use h3dfact_core::{H3dFact, H3dFactConfig, Hybrid2dEngine, PcmEngine, Sram2dEngine};
 use hdc::rng::{derive_seed, stream_rng};
 use hdc::{BipolarVector, Codebook, FactorizationProblem, ProblemSpec};
 use resonator::batch::{BatchItem, BatchOutcome};
 use resonator::engine::FactorizationOutcome;
 use resonator::metrics::IterationStats;
-use resonator::{BaselineResonator, StochasticResonator};
 
-use crate::backend::{Backend, LockstepQuery, RunReport};
-use crate::executor;
+use crate::backend::{Backend, LockstepSolve, RunReport};
+use crate::executor::{self, RequestSolve};
 use crate::registry::{CodebookHandle, CodebookRegistry};
 use crate::target::{CostReport, TargetBackend, TargetKind};
-use crate::workload::{Workload, WorkloadReport, WorkloadSet};
+use crate::workload::{Workload, WorkloadReport};
 
 /// Stream namespaces for the session's seed-derivation tree. Every family
 /// of streams a session draws is namespaced through a **nested**
@@ -92,7 +92,9 @@ impl BackendKind {
         }
     }
 
-    /// Instantiates the engine behind this kind.
+    /// Instantiates this kind on the functional target — bit-identical to
+    /// the engine of the same kind and seed in `h3dfact_core` /
+    /// `resonator`.
     pub fn instantiate(
         self,
         spec: ProblemSpec,
@@ -101,77 +103,15 @@ impl BackendKind {
         adc_bits: Option<u8>,
         noise: Option<NoiseSpec>,
     ) -> Box<dyn Backend> {
-        let hw_config = || {
-            let mut cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
-            if let Some(bits) = adc_bits {
-                cfg = cfg.with_adc_bits(bits);
-            }
-            if let Some(n) = noise {
-                cfg = cfg.with_noise(n);
-            }
-            cfg
-        };
-        match self {
-            BackendKind::H3dFact => Box::new(H3dFact::new(hw_config(), seed)),
-            BackendKind::Sram2d => Box::new(Sram2dEngine::new(spec, max_iters, seed)),
-            BackendKind::Hybrid2d => Box::new(Hybrid2dEngine::new(hw_config(), seed)),
-            BackendKind::Pcm => {
-                let mut engine = PcmEngine::paper_default(spec, max_iters, seed);
-                if let Some(bits) = adc_bits {
-                    engine = engine.with_adc_bits(bits);
-                }
-                if let Some(n) = noise {
-                    // Workspace noise convention: the session hands every
-                    // analog backend the same *relative per-cell* sigma
-                    // (`NoiseSpec::sigma_total()` units) and the engine
-                    // owns the `sqrt(D)` column scaling. Fault and write
-                    // nonidealities map onto the comparator's survival
-                    // model.
-                    engine = engine
-                        .with_cell_sigma(n.sigma_total())
-                        .with_faults(n.stuck_at_rate, n.write_gain());
-                }
-                Box::new(engine)
-            }
-            BackendKind::Baseline => Box::new(BaselineResonator::new(max_iters, seed)),
-            BackendKind::Stochastic => {
-                // The algorithm-level model parameterizes the same knobs
-                // as the analog hardware: honor the overrides rather than
-                // silently running paper defaults. Same per-cell sigma
-                // convention as the PCM arm above.
-                let cell_sigma = noise
-                    .map(|n| n.sigma_total())
-                    .unwrap_or(StochasticResonator::CHIP_CELL_SIGMA);
-                let bits = adc_bits.unwrap_or(4);
-                Box::new(StochasticResonator::with_cell_noise(
-                    spec, max_iters, cell_sigma, bits, seed,
-                ))
-            }
-        }
-    }
-
-    /// [`BackendKind::instantiate`] on an execution target: `None` drives
-    /// the engine's own direct path (the legacy default); `Some(target)`
-    /// routes the kernels through a
-    /// [`TargetBackend`](crate::target::TargetBackend) —
-    /// [`TargetKind::Functional`] is bit-identical to the direct engine
-    /// and additionally surfaces per-run
-    /// [`CostReport`](crate::target::CostReport)s.
-    pub fn instantiate_on(
-        self,
-        target: Option<TargetKind>,
-        spec: ProblemSpec,
-        max_iters: usize,
-        seed: u64,
-        adc_bits: Option<u8>,
-        noise: Option<NoiseSpec>,
-    ) -> Box<dyn Backend> {
-        match target {
-            None => self.instantiate(spec, max_iters, seed, adc_bits, noise),
-            Some(t) => Box::new(TargetBackend::new(
-                self, t, spec, max_iters, seed, adc_bits, noise,
-            )),
-        }
+        Box::new(TargetBackend::new(
+            self,
+            TargetKind::Functional,
+            spec,
+            max_iters,
+            seed,
+            adc_bits,
+            noise,
+        ))
     }
 }
 
@@ -188,6 +128,14 @@ pub enum SessionBuildError {
     MissingSpec,
     /// The iteration budget was zero.
     ZeroIterationBudget,
+    /// The backend kind cannot execute on the requested target (the
+    /// approximate tiled target models the analog crossbar path only).
+    UnsupportedTarget {
+        /// The requested backend kind.
+        kind: BackendKind,
+        /// The requested target.
+        target: TargetKind,
+    },
 }
 
 impl fmt::Display for SessionBuildError {
@@ -198,6 +146,12 @@ impl fmt::Display for SessionBuildError {
             }
             SessionBuildError::ZeroIterationBudget => {
                 write!(f, "max_iters must be at least 1")
+            }
+            SessionBuildError::UnsupportedTarget { kind, target } => {
+                write!(
+                    f,
+                    "the {target} target models the analog crossbar path; {kind} has none"
+                )
             }
         }
     }
@@ -215,7 +169,7 @@ pub struct SessionBuilder {
     adc_bits: Option<u8>,
     noise: Option<NoiseSpec>,
     threads: usize,
-    target: Option<TargetKind>,
+    target: TargetKind,
     registry: Option<Arc<CodebookRegistry>>,
 }
 
@@ -229,7 +183,7 @@ impl Default for SessionBuilder {
             adc_bits: None,
             noise: None,
             threads: 1,
-            target: None,
+            target: TargetKind::Functional,
             registry: None,
         }
     }
@@ -291,15 +245,15 @@ impl SessionBuilder {
         self
     }
 
-    /// Execution target for the backend's kernels (default: the engine's
-    /// own direct path). [`TargetKind::Functional`] is bit-identical to
-    /// the direct engine at every seed — same outcomes, same reports —
-    /// and additionally surfaces per-run
+    /// Execution target for the backend's kernels (default:
+    /// [`TargetKind::Functional`], bit-identical at every seed — same
+    /// outcomes, same reports — to the engine of the same kind in
+    /// `h3dfact_core` / `resonator`). Every target surfaces per-run
     /// [`CostReport`](crate::target::CostReport)s through
     /// [`Session::last_cost_report`]; the other targets trade fidelity for
     /// richer hardware co-simulation or offload modeling.
     pub fn target(mut self, target: TargetKind) -> Self {
-        self.target = Some(target);
+        self.target = target;
         self
     }
 
@@ -322,14 +276,15 @@ impl SessionBuilder {
         if self.max_iters == 0 {
             return Err(SessionBuildError::ZeroIterationBudget);
         }
-        let backend = self.backend.instantiate_on(
+        let backend = Box::new(TargetBackend::try_new(
+            self.backend,
             self.target,
             spec,
             self.max_iters,
             derive_seed(self.seed, ns::BACKEND),
             self.adc_bits,
             self.noise,
-        );
+        )?);
         let registry = self.registry.unwrap_or_else(CodebookRegistry::global);
         let mut rng = stream_rng(self.seed, ns::CODEBOOKS);
         let generated: Vec<Codebook> = (0..spec.factors)
@@ -435,8 +390,8 @@ pub struct Session {
     noise: Option<NoiseSpec>,
     /// Worker threads for batch solving (`0` = all cores, `1` = sequential).
     threads: usize,
-    /// Execution target routing (`None` = the engines' direct path).
-    target: Option<TargetKind>,
+    /// Execution target of the backend's kernels.
+    target: TargetKind,
     /// The registry entry this session's codebooks are interned under.
     /// Content-identical sessions (same seed/spec, or any other route to
     /// the same sign words) share one entry — and one allocation —
@@ -539,16 +494,15 @@ impl Session {
         self.last_report.clone()
     }
 
-    /// The configured execution target, when the session routes its
-    /// kernels through the target abstraction.
-    pub fn target_kind(&self) -> Option<TargetKind> {
+    /// The execution target the backend's kernels run on.
+    pub fn target_kind(&self) -> TargetKind {
         self.target
     }
 
-    /// The target-level cost report of the most recent solve, for
-    /// target-routed sessions (`None` on the engines' direct path, and
-    /// after parallel passes, whose per-item reports live in the worker
-    /// engines).
+    /// The target-level cost report of the most recent solve through the
+    /// session's own backend (`None` before the first one; parallel
+    /// passes solve on worker backends, so their per-item cost reports
+    /// do not land here).
     pub fn last_cost_report(&self) -> Option<CostReport> {
         self.backend.last_cost_report()
     }
@@ -614,18 +568,34 @@ impl Session {
     /// shares the parent's codebooks and seed lineage discipline but
     /// drives `kind`. Lets one parent warm a heterogeneous shard pool over
     /// identical codebooks.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` cannot execute on this session's target.
     pub fn carve_shard_as(&mut self, kind: BackendKind) -> Session {
+        self.carve_shard_on(kind, self.target)
+            .unwrap_or_else(|e| panic!("invalid shard: {e}"))
+    }
+
+    /// [`Session::carve_shard_as`] on an explicit target. A refused
+    /// pairing consumes no shard lineage.
+    pub(crate) fn carve_shard_on(
+        &mut self,
+        kind: BackendKind,
+        target: TargetKind,
+    ) -> Result<Session, SessionBuildError> {
         let shard_seed = derive_seed(derive_seed(self.seed, ns::SHARDS), self.shards_carved);
-        self.shards_carved += 1;
-        let backend = kind.instantiate_on(
-            self.target,
+        let backend = Box::new(TargetBackend::try_new(
+            kind,
+            target,
             self.spec,
             self.max_iters,
             derive_seed(shard_seed, ns::BACKEND),
             self.adc_bits,
             self.noise,
-        );
-        Session {
+        )?);
+        self.shards_carved += 1;
+        Ok(Session {
             spec: self.spec,
             kind,
             seed: shard_seed,
@@ -633,14 +603,14 @@ impl Session {
             adc_bits: self.adc_bits,
             noise: self.noise,
             threads: self.threads,
-            target: self.target,
+            target,
             codebook_handle: self.codebook_handle.clone(),
             codebooks: Arc::clone(&self.codebooks),
             backend,
             problem_cursor: 0,
             shards_carved: 0,
             last_report: None,
-        }
+        })
     }
 
     /// Solves one caller-supplied problem (any codebooks of the right
@@ -669,11 +639,11 @@ impl Session {
         executor::resolve_threads(self.threads).min(n_items.max(1))
     }
 
-    /// A thread-safe constructor of engines identical to this session's
-    /// backend (same constructor seed), for the parallel executor's
-    /// per-worker engines. The service layer uses the same factories to
-    /// give its micro-batch pool engines bit-identical to each shard's
-    /// warmed backend.
+    /// A thread-safe constructor of backends identical to this session's
+    /// (same kind, target and constructor seed), for the parallel
+    /// executor's per-worker backends. The service layer uses the same
+    /// factories to give its micro-batch pool backends bit-identical to
+    /// each shard's warmed one.
     pub(crate) fn backend_factory(&self) -> impl Fn() -> Box<dyn Backend> + Send + Sync + 'static {
         let (kind, target, spec, max_iters, seed, adc_bits, noise) = (
             self.kind,
@@ -684,143 +654,80 @@ impl Session {
             self.adc_bits,
             self.noise,
         );
-        move || kind.instantiate_on(target, spec, max_iters, seed, adc_bits, noise)
-    }
-
-    /// Solves `items` on the deterministic worker pool at the backend's
-    /// current run cursor, advances the cursor past the batch, and records
-    /// the final item's report — leaving the session in exactly the state
-    /// a sequential pass over the same items would have left it in.
-    fn solve_items_parallel(
-        &mut self,
-        items: &[BatchItem],
-        threads: usize,
-    ) -> Vec<executor::IndexedSolve> {
-        let base = self.backend.run_cursor();
-        let factory = self.backend_factory();
-        let solves = executor::solve_indexed(&factory, &self.codebooks, items, base, threads);
-        self.backend.seek_run(base + items.len() as u64);
-        self.last_report = solves.last().and_then(|s| s.report.clone());
-        solves
-    }
-
-    /// The workload counterpart of [`Session::solve_items_parallel`]:
-    /// same cursor and report bookkeeping, but each item addresses one of
-    /// the set's codebook groups.
-    fn solve_groups_parallel(
-        &mut self,
-        groups: &[Vec<Codebook>],
-        items: &[crate::workload::WorkloadItem],
-        threads: usize,
-    ) -> Vec<executor::IndexedSolve> {
-        let base = self.backend.run_cursor();
-        let factory = self.backend_factory();
-        let solves = executor::solve_grouped(&factory, groups, items, base, threads);
-        self.backend.seek_run(base + items.len() as u64);
-        self.last_report = solves.last().and_then(|s| s.report.clone());
-        solves
-    }
-
-    /// Sequential solve of `items` at the backend's current run cursor:
-    /// contiguous chunks route through the backend's lockstep batch
-    /// stepper when it has one (bit-identical to per-item calls, but
-    /// matrix–matrix in the kernels), with a per-item fallback otherwise.
-    /// Leaves the cursor and `last_report` exactly as a per-item pass
-    /// would.
-    fn solve_items_sequential(&mut self, items: &[BatchItem]) -> Vec<executor::IndexedSolve> {
-        let mut solves = Vec::with_capacity(items.len());
-        for chunk in items.chunks(executor::LOCKSTEP_CHUNK) {
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self.backend.factorize_lockstep(&self.codebooks, &queries) {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => {
-                    for item in chunk {
-                        let outcome = self.backend.factorize_query(
-                            &self.codebooks,
-                            &item.query,
-                            item.truth.as_deref(),
-                        );
-                        let report = self.backend.last_run_stats();
-                        solves.push(executor::IndexedSolve { outcome, report });
-                    }
-                }
-            }
+        move || {
+            Box::new(TargetBackend::new(
+                kind, target, spec, max_iters, seed, adc_bits, noise,
+            )) as Box<dyn Backend>
         }
-        self.last_report = match solves.last() {
-            Some(solve) => solve.report.clone(),
-            None => self.backend.last_run_stats(),
-        };
-        solves
     }
 
-    /// The workload counterpart of [`Session::solve_items_sequential`]:
-    /// lockstep chunks additionally break where the codebook group
-    /// changes (fresh-codebook workloads interleave groups), falling back
-    /// to per-item solves for engines without a stepper.
-    fn solve_workload_sequential(&mut self, set: &WorkloadSet) -> Vec<executor::IndexedSolve> {
-        let mut solves = Vec::with_capacity(set.items.len());
-        let mut start = 0usize;
-        while start < set.items.len() {
-            let group = set.items[start].group;
-            let mut end = start + 1;
-            while end < set.items.len()
-                && end - start < executor::LOCKSTEP_CHUNK
-                && set.items[end].group == group
-            {
-                end += 1;
-            }
-            let chunk = &set.items[start..end];
-            let queries: Vec<LockstepQuery<'_>> = chunk
-                .iter()
-                .map(|item| (&item.query, item.truth.as_deref()))
-                .collect();
-            match self
-                .backend
-                .factorize_lockstep(&set.groups[group], &queries)
-            {
-                Some(batch) => solves.extend(batch.into_iter().map(|s| executor::IndexedSolve {
-                    outcome: s.outcome,
-                    report: s.report,
-                })),
-                None => {
-                    for item in chunk {
-                        let outcome = self.backend.factorize_query(
-                            &set.groups[group],
-                            &item.query,
-                            item.truth.as_deref(),
-                        );
-                        let report = self.backend.last_run_stats();
-                        solves.push(executor::IndexedSolve { outcome, report });
-                    }
-                }
-            }
-            start = end;
+    /// One pass's requests on this session's backend: item `i` at the
+    /// run cursor `run_cursor() + i` it would have had sequentially.
+    fn requests<'a>(
+        &self,
+        items: impl Iterator<Item = (&'a [Codebook], &'a BipolarVector, Option<&'a [usize]>)>,
+    ) -> Vec<RequestSolve<'a>> {
+        let base = self.backend.run_cursor();
+        items
+            .enumerate()
+            .map(|(i, (codebooks, query, truth))| RequestSolve {
+                shard: 0,
+                cursor: base + i as u64,
+                codebooks,
+                query,
+                truth,
+            })
+            .collect()
+    }
+
+    /// Solves a pass's [`Session::requests`] — inline on the session's
+    /// backend, or on the deterministic worker pool when `threads > 1` —
+    /// advances the cursor past them, and records the final item's
+    /// report, leaving the session in exactly the state a sequential
+    /// per-item pass would have left it in.
+    fn solve_pass(&mut self, requests: &[RequestSolve<'_>], threads: usize) -> Vec<LockstepSolve> {
+        let solves = if threads > 1 {
+            let factory: Box<dyn Fn() -> Box<dyn Backend> + Send + Sync> =
+                Box::new(self.backend_factory());
+            executor::solve_requests(std::slice::from_ref(&factory), requests, threads)
+        } else {
+            executor::solve_inline(&mut *self.backend, requests)
+        };
+        if let (Some(request), Some(solve)) = (requests.last(), solves.last()) {
+            self.backend.seek_run(request.cursor + 1);
+            self.last_report = Some(solve.report.clone());
         }
-        self.last_report = match solves.last() {
-            Some(solve) => solve.report.clone(),
-            None => self.backend.last_run_stats(),
-        };
         solves
     }
 
-    /// Accumulates one per-item report's cost into the pass totals — the
-    /// single definition of cost folding, shared by every item-order
-    /// aggregation path.
-    fn fold_cost(report: Option<RunReport>, energy: &mut Option<f64>, latency: &mut Option<f64>) {
-        if let Some(report) = report {
-            if let Some(e) = report.energy_j() {
+    /// [`Session::solve_pass`] over generated `items` on the session's
+    /// codebooks.
+    fn solve_items(&mut self, items: &[BatchItem], threads: usize) -> Vec<LockstepSolve> {
+        let books = Arc::clone(&self.codebooks);
+        let requests = self.requests(
+            items
+                .iter()
+                .map(|item| (&books[..], &item.query, item.truth.as_deref())),
+        );
+        self.solve_pass(&requests, threads)
+    }
+
+    /// The session report of a solved pass, with per-item costs
+    /// accumulated in item order — the single definition of cost folding,
+    /// shared by every pass, so `threads(N) ≡ threads(1)` bit for bit.
+    fn report_from_solves(&self, solves: Vec<LockstepSolve>) -> SessionReport {
+        let (mut energy, mut latency) = (None, None);
+        let mut outcomes = Vec::with_capacity(solves.len());
+        for solve in solves {
+            if let Some(e) = solve.report.energy_j() {
                 *energy.get_or_insert(0.0) += e;
             }
-            if let Some(l) = report.latency_s {
+            if let Some(l) = solve.report.latency_s {
                 *latency.get_or_insert(0.0) += l;
             }
+            outcomes.push(solve.outcome);
         }
+        self.report_from(outcomes, energy, latency)
     }
 
     /// Generates `n` fresh problems and solves them one by one,
@@ -834,22 +741,8 @@ impl Session {
     pub fn run(&mut self, n: usize) -> SessionReport {
         self.refresh_codebooks();
         let items = self.generate(n);
-        let threads = self.effective_threads(items.len());
-        let mut outcomes = Vec::with_capacity(items.len());
-        let mut energy = None;
-        let mut latency = None;
-        if threads > 1 && !items.is_empty() {
-            for solve in self.solve_items_parallel(&items, threads) {
-                Self::fold_cost(solve.report, &mut energy, &mut latency);
-                outcomes.push(solve.outcome);
-            }
-        } else {
-            for solve in self.solve_items_sequential(&items) {
-                Self::fold_cost(solve.report, &mut energy, &mut latency);
-                outcomes.push(solve.outcome);
-            }
-        }
-        self.report_from(outcomes, energy, latency)
+        let solves = self.solve_items(&items, self.effective_threads(items.len()));
+        self.report_from_solves(solves)
     }
 
     /// Generates `n` fresh problems and solves them through the backend's
@@ -869,27 +762,22 @@ impl Session {
             return self.report_from(Vec::new(), None, None);
         }
         let threads = self.effective_threads(items.len());
-        let native = self.backend.capabilities().native_batch;
         // Cost totals may only come from a report that covers the WHOLE
-        // batch: the sequential native roll-up, or a successful fold of
-        // every per-item report. A native backend that cannot fold (no
-        // `fold_batch_reports` override, or a worker without a report)
-        // must omit cost rather than silently report one item's.
+        // batch: the sequential native roll-up, or a fold of every
+        // per-item report. A backend without a native roll-up must omit
+        // cost rather than silently report one item's.
         let (outcomes, batch_report_valid) = if threads > 1 {
-            let solves = self.solve_items_parallel(&items, threads);
-            let reports: Vec<RunReport> = solves.iter().filter_map(|s| s.report.clone()).collect();
-            let outcomes: Vec<FactorizationOutcome> =
-                solves.into_iter().map(|s| s.outcome).collect();
-            let folded =
-                native && reports.len() == items.len() && self.backend.fold_batch_reports(&reports);
+            let solves = self.solve_items(&items, threads);
+            let reports: Vec<RunReport> = solves.iter().map(|s| s.report.clone()).collect();
+            let folded = self.backend.fold_batch_reports(&reports);
             if folded {
                 self.last_report = self.backend.last_run_stats();
             }
-            (outcomes, folded)
+            (solves.into_iter().map(|s| s.outcome).collect(), folded)
         } else {
             let batch = self.backend.factorize_batch(&self.codebooks, &items);
             self.last_report = self.backend.last_run_stats();
-            (batch.outcomes, native)
+            (batch.outcomes, self.backend.capabilities().native_batch)
         };
         let (mut energy, mut latency) = (None, None);
         if batch_report_valid {
@@ -920,28 +808,22 @@ impl Session {
         );
         let set = workload.generate(n);
         set.validate(self.spec);
-        let threads = self.effective_threads(set.items.len());
-        let mut outcomes = Vec::with_capacity(set.items.len());
-        let mut energy = None;
-        let mut latency = None;
-        if threads > 1 && !set.items.is_empty() {
-            for solve in self.solve_groups_parallel(&set.groups, &set.items, threads) {
-                Self::fold_cost(solve.report, &mut energy, &mut latency);
-                outcomes.push(solve.outcome);
-            }
-        } else {
-            for solve in self.solve_workload_sequential(&set) {
-                Self::fold_cost(solve.report, &mut energy, &mut latency);
-                outcomes.push(solve.outcome);
-            }
-        }
-        let score = workload.score(&set, &outcomes);
+        let requests = self.requests(set.items.iter().map(|item| {
+            (
+                set.groups[item.group].as_slice(),
+                &item.query,
+                item.truth.as_deref(),
+            )
+        }));
+        let solves = self.solve_pass(&requests, self.effective_threads(set.items.len()));
+        let session = self.report_from_solves(solves);
+        let score = workload.score(&set, &session.outcomes);
         WorkloadReport {
             workload: workload.name().to_string(),
             units: set.units,
             score: score.score,
             metrics: score.metrics,
-            session: self.report_from(outcomes, energy, latency),
+            session,
         }
     }
 

@@ -3,14 +3,18 @@
 //! runs on* (which substrate executes them and what each step costs).
 //!
 //! A [`Target`] owns the MVM/cleanup primitives of one resonator run plus
-//! per-step cost accounting; [`TargetBackend`] drives the shared
-//! [`ResonatorLoop`] through any target and exposes the standard
-//! [`Backend`] interface, so sessions, workloads, and the serving layer
-//! are target-agnostic. Three implementations ship:
+//! per-step cost accounting, and optionally a lockstep stepper that runs
+//! a whole batch at once; [`TargetBackend`] drives the shared
+//! [`ResonatorLoop`] through any target and is the one implementation of
+//! the standard [`Backend`] interface, so sessions, workloads, and the
+//! serving layer all execute through a target. Three implementations
+//! ship:
 //!
-//! - [`FunctionalTarget`] — the bit-exact packed-kernel path extracted
-//!   from the six engines: same kernels, same seed streams, same cost
-//!   recipes, so every golden reproduces bit-for-bit.
+//! - [`FunctionalTarget`] (the default) — the bit-exact packed-kernel
+//!   path of the six engines in `h3dfact_core` and `resonator`: same
+//!   kernels, same seed streams, same cost recipes, so every golden
+//!   reproduces bit-for-bit and the engines stay the reference the
+//!   target is tested against.
 //! - [`ApproxTiledTarget`] — approximate hardware co-simulation: tiled
 //!   crossbars with IR drop, rectifying ADC readout, and a lumped-RC
 //!   thermal model stepped once per resonator iteration; the
@@ -46,19 +50,21 @@ use cim::power::PowerMode;
 use cim::tech::TechNode;
 use cim::xnor::XnorUnit;
 use h3dfact_core::accelerator::AnalogKernels;
-use h3dfact_core::{H3dFactConfig, PcmEngine};
+use h3dfact_core::{batch_run_stats, H3dFactConfig, PcmEngine, RunStats};
 use hdc::rng::{derive_seed, rng_from_seed};
 use hdc::{BipolarVector, Codebook, ProblemSpec};
 use rand::rngs::StdRng;
+use resonator::batch::{BatchItem, BatchOutcome};
 use resonator::engine::{
     FactorizationOutcome, Factorizer, LoopConfig, ResonatorKernels, ResonatorLoop,
 };
-use resonator::{Activation, NoisyReadout, StochasticResonator};
+use resonator::{Activation, BatchedResonator, LockstepProblem, NoisyReadout, StochasticResonator};
 use std::fmt;
 use thermal::{LumpedStack, Stack};
 
-use crate::backend::{Backend, Capabilities, RunReport};
-use crate::session::BackendKind;
+use crate::backend::{Backend, Capabilities, LockstepQuery, LockstepSolve, RunReport};
+use crate::executor::LOCKSTEP_CHUNK;
+use crate::session::{BackendKind, SessionBuildError};
 
 /// Loop-seed namespace of the analog (crossbar) engines.
 const ANALOG_LOOP_NS: u64 = 0xACC;
@@ -195,6 +201,41 @@ pub trait Target: Send {
     /// Derives the loop-level seed from the run seed (each engine family
     /// namespaces differently; the target owns its family's convention).
     fn loop_seed(&self, run_seed: u64) -> u64;
+
+    /// The batched primitive: solves `queries` as one lockstep batch,
+    /// item `i` from run seed `run_seeds[i]`, every item advancing one
+    /// iteration at a time through matrix–matrix kernels. Outcomes and
+    /// cost reports must be bit-identical (up to wall-clock phase times)
+    /// to one `begin_run` / loop / `finish_run` per item. Returns `None`
+    /// (the default) when the target has no stepper — kernels that carry
+    /// per-run device state — and the caller solves item by item.
+    fn run_lockstep(
+        &mut self,
+        codebooks: &[Codebook],
+        queries: &[LockstepQuery<'_>],
+        run_seeds: &[u64],
+    ) -> Option<Vec<(FactorizationOutcome, CostReport)>> {
+        let _ = (codebooks, queries, run_seeds);
+        None
+    }
+}
+
+/// The cost report of a run with no cost model: loop-level facts only.
+fn loop_report(target: &'static str, outcome: &FactorizationOutcome) -> CostReport {
+    CostReport {
+        target,
+        iterations: outcome.iterations,
+        degenerate_events: outcome.degenerate_events,
+        cycles: None,
+        latency_s: None,
+        energy: None,
+        tier_switches: None,
+        adc_conversions: None,
+        buffer_peak_bits: None,
+        mean_die_temp_c: Vec::new(),
+        peak_temp_c: None,
+        queue: None,
+    }
 }
 
 /// Adapter implementing [`ResonatorKernels`] over any [`Target`], so the
@@ -265,6 +306,40 @@ struct SoftwareFamily {
     cost: Option<PcmEngine>,
 }
 
+impl SoftwareFamily {
+    fn loop_seed(&self, run_seed: u64) -> u64 {
+        match self.loop_ns {
+            Some(ns) => derive_seed(run_seed, ns),
+            None => run_seed,
+        }
+    }
+
+    /// Settles one run's cost on top of its loop-level `base` report: the
+    /// PCM per-iteration cost model, or nothing for the costless engines.
+    fn cost_report(&self, base: CostReport) -> CostReport {
+        let Some(engine) = &self.cost else {
+            return base;
+        };
+        let iters = base.iterations;
+        let (cycles_per_iter, per_iter) = engine.iteration_cost();
+        let mut energy = EnergyLedger::new();
+        for (component, joules) in per_iter.iter() {
+            energy.add(component, joules * iters as f64);
+        }
+        let cycles = cycles_per_iter * iters as u64;
+        let spec = engine.spec();
+        CostReport {
+            cycles: Some(cycles),
+            latency_s: Some(cycles as f64 / (BASE_FREQUENCY_MHZ * 1e6)),
+            energy: Some(energy),
+            tier_switches: Some(0),
+            adc_conversions: Some((spec.factors * spec.codebook_size) as u64 * iters as u64),
+            buffer_peak_bits: Some(0),
+            ..base
+        }
+    }
+}
+
 /// Which kernel family a [`FunctionalTarget`] extracts.
 #[allow(clippy::large_enum_variant)] // one instance per backend; size is irrelevant
 enum Family {
@@ -286,10 +361,11 @@ enum Family {
 }
 
 /// The bit-exact functional target: the packed-kernel compute path of the
-/// engines extracted behind the [`Target`] interface. For every
-/// [`BackendKind`], outcomes, seed streams, and cost reports are
-/// bit-for-bit identical to the corresponding engine (pinned by the
-/// golden suite).
+/// engines behind the [`Target`] interface. For every [`BackendKind`],
+/// outcomes, seed streams, and cost reports are bit-for-bit identical to
+/// the corresponding engine (pinned by `tests/targets.rs` and the golden
+/// suite). The software family (baseline, stochastic, PCM comparator)
+/// also runs whole batches in lockstep ([`Target::run_lockstep`]).
 pub struct FunctionalTarget {
     family: Family,
 }
@@ -305,10 +381,28 @@ fn analog_frequency_mhz(variant: DesignVariant) -> f64 {
     }
 }
 
+/// The analog engines' configuration under the session's ADC/noise
+/// overrides.
+fn hw_config(
+    spec: ProblemSpec,
+    max_iters: usize,
+    adc_bits: Option<u8>,
+    noise: Option<NoiseSpec>,
+) -> H3dFactConfig {
+    let mut cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
+    if let Some(bits) = adc_bits {
+        cfg = cfg.with_adc_bits(bits);
+    }
+    if let Some(n) = noise {
+        cfg = cfg.with_noise(n);
+    }
+    cfg
+}
+
 impl FunctionalTarget {
-    /// Builds the functional target equivalent to `kind.instantiate(..)`
-    /// — same constructor-level knob handling (ADC/noise overrides), same
-    /// per-run behavior.
+    /// Builds the functional target of `kind`, with the engine's own
+    /// constructor-level knob handling: ADC and noise overrides map onto
+    /// each engine exactly as its crate constructors take them.
     pub fn for_backend(
         kind: BackendKind,
         spec: ProblemSpec,
@@ -316,24 +410,14 @@ impl FunctionalTarget {
         adc_bits: Option<u8>,
         noise: Option<NoiseSpec>,
     ) -> Self {
-        let hw_config = || {
-            let mut cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
-            if let Some(bits) = adc_bits {
-                cfg = cfg.with_adc_bits(bits);
-            }
-            if let Some(n) = noise {
-                cfg = cfg.with_noise(n);
-            }
-            cfg
-        };
         let family = match kind {
             BackendKind::H3dFact => Family::Analog {
-                cfg: hw_config(),
+                cfg: hw_config(spec, max_iters, adc_bits, noise),
                 variant: DesignVariant::H3dThreeTier,
                 kernels: None,
             },
             BackendKind::Hybrid2d => Family::Analog {
-                cfg: hw_config(),
+                cfg: hw_config(spec, max_iters, adc_bits, noise),
                 variant: DesignVariant::Hybrid2d,
                 kernels: None,
             },
@@ -348,14 +432,19 @@ impl FunctionalTarget {
                 },
             },
             BackendKind::Pcm => {
-                // Mirror the session's PCM construction (the engine seed is
-                // irrelevant here — only the cost model and derived knobs
-                // are read off this instance).
+                // The engine seed is irrelevant here — only the cost model
+                // and derived knobs are read off this instance.
                 let mut engine = PcmEngine::paper_default(spec, max_iters, 0);
                 if let Some(bits) = adc_bits {
                     engine = engine.with_adc_bits(bits);
                 }
                 if let Some(n) = noise {
+                    // Workspace noise convention: every analog backend
+                    // takes the same *relative per-cell* sigma
+                    // (`NoiseSpec::sigma_total()` units) and owns the
+                    // `sqrt(D)` column scaling. Fault and write
+                    // nonidealities map onto the comparator's survival
+                    // model.
                     engine = engine
                         .with_cell_sigma(n.sigma_total())
                         .with_faults(n.stuck_at_rate, n.write_gain());
@@ -382,6 +471,9 @@ impl FunctionalTarget {
                 cost: None,
             }),
             BackendKind::Stochastic => {
+                // The algorithm-level model parameterizes the same knobs
+                // as the analog hardware, under the same per-cell sigma
+                // convention as the PCM arm above.
                 let cell_sigma = noise
                     .map(|n| n.sigma_total())
                     .unwrap_or(StochasticResonator::CHIP_CELL_SIGMA);
@@ -511,20 +603,7 @@ impl Target for FunctionalTarget {
 
     fn finish_run(&mut self, outcome: &FactorizationOutcome) -> CostReport {
         let iters = outcome.iterations;
-        let base = CostReport {
-            target: self.target_name(),
-            iterations: iters,
-            degenerate_events: outcome.degenerate_events,
-            cycles: None,
-            latency_s: None,
-            energy: None,
-            tier_switches: None,
-            adc_conversions: None,
-            buffer_peak_bits: None,
-            mean_die_temp_c: Vec::new(),
-            peak_temp_c: None,
-            queue: None,
-        };
+        let base = loop_report(self.target_name(), outcome);
         match &mut self.family {
             Family::Analog {
                 cfg,
@@ -571,29 +650,7 @@ impl Target for FunctionalTarget {
             }
             Family::Software(sw) => {
                 sw.rng = None;
-                match &sw.cost {
-                    Some(engine) => {
-                        let (cycles_per_iter, per_iter) = engine.iteration_cost();
-                        let mut energy = EnergyLedger::new();
-                        for (component, joules) in per_iter.iter() {
-                            energy.add(component, joules * iters as f64);
-                        }
-                        let cycles = cycles_per_iter * iters as u64;
-                        let spec = engine.spec();
-                        CostReport {
-                            cycles: Some(cycles),
-                            latency_s: Some(cycles as f64 / (BASE_FREQUENCY_MHZ * 1e6)),
-                            energy: Some(energy),
-                            tier_switches: Some(0),
-                            adc_conversions: Some(
-                                (spec.factors * spec.codebook_size) as u64 * iters as u64,
-                            ),
-                            buffer_peak_bits: Some(0),
-                            ..base
-                        }
-                    }
-                    None => base,
-                }
+                sw.cost_report(base)
             }
         }
     }
@@ -610,11 +667,41 @@ impl Target for FunctionalTarget {
         match &self.family {
             Family::Analog { .. } => derive_seed(run_seed, ANALOG_LOOP_NS),
             Family::Digital { .. } => run_seed,
-            Family::Software(sw) => match sw.loop_ns {
-                Some(ns) => derive_seed(run_seed, ns),
-                None => run_seed,
-            },
+            Family::Software(sw) => sw.loop_seed(run_seed),
         }
+    }
+
+    fn run_lockstep(
+        &mut self,
+        codebooks: &[Codebook],
+        queries: &[LockstepQuery<'_>],
+        run_seeds: &[u64],
+    ) -> Option<Vec<(FactorizationOutcome, CostReport)>> {
+        let Family::Software(sw) = &self.family else {
+            return None;
+        };
+        // Per item: the kernel RNG `begin_run` seeds and the loop seed
+        // `loop_seed` derives, read through the target's own readout.
+        let problems: Vec<LockstepProblem<'_>> = queries
+            .iter()
+            .zip(run_seeds)
+            .map(|(&(query, truth), &run_seed)| LockstepProblem {
+                query,
+                truth,
+                kernel_seed: run_seed,
+                loop_seed: sw.loop_seed(run_seed),
+            })
+            .collect();
+        let outcomes = BatchedResonator::new(sw.loop_config, &sw.readout).run(codebooks, &problems);
+        Some(
+            outcomes
+                .into_iter()
+                .map(|outcome| {
+                    let cost = sw.cost_report(loop_report(self.target_name(), &outcome));
+                    (outcome, cost)
+                })
+                .collect(),
+        )
     }
 }
 
@@ -842,18 +929,13 @@ impl Target for ApproxTiledTarget {
     fn finish_run(&mut self, outcome: &FactorizationOutcome) -> CostReport {
         let cycles = self.cycles_per_iter * outcome.iterations as u64;
         let report = CostReport {
-            target: self.target_name(),
-            iterations: outcome.iterations,
-            degenerate_events: outcome.degenerate_events,
             cycles: Some(cycles),
             latency_s: Some(cycles as f64 / (analog_frequency_mhz(self.variant) * 1e6)),
             energy: Some(self.ledger.clone()),
-            tier_switches: None,
             adc_conversions: Some(self.adc_conversions),
-            buffer_peak_bits: None,
             mean_die_temp_c: std::mem::take(&mut self.trajectory),
             peak_temp_c: Some(self.thermal.peak_temp_c()),
-            queue: None,
+            ..loop_report(self.target_name(), outcome)
         };
         self.sim_tier.clear();
         self.proj_tier.clear();
@@ -1136,30 +1218,24 @@ impl Target for DmaQueueTarget {
 // TargetBackend
 // ---------------------------------------------------------------------------
 
-/// Stable backend name of a `(kind, target)` pairing.
-fn backend_name(kind: BackendKind, target: TargetKind) -> &'static str {
-    match (kind, target) {
-        // Functional targets are bit-identical to the engines and report
-        // under the engine's own name.
-        (_, TargetKind::Functional) => kind.name(),
-        (BackendKind::H3dFact, TargetKind::ApproxTiled) => "h3dfact-3d+approx",
-        (BackendKind::Hybrid2d, TargetKind::ApproxTiled) => "hybrid-2d+approx",
-        (BackendKind::H3dFact, TargetKind::DmaQueue) => "h3dfact-3d+dma",
-        (BackendKind::Hybrid2d, TargetKind::DmaQueue) => "hybrid-2d+dma",
-        (BackendKind::Sram2d, TargetKind::DmaQueue) => "sram-2d+dma",
-        (BackendKind::Pcm, TargetKind::DmaQueue) => "pcm-2die+dma",
-        (BackendKind::Baseline, TargetKind::DmaQueue) => "baseline-sw+dma",
-        (BackendKind::Stochastic, TargetKind::DmaQueue) => "stochastic-sw+dma",
-        (kind, TargetKind::ApproxTiled) => {
-            panic!("the approximate tiled target models the analog crossbar path; {kind} has none")
-        }
+/// Backend name of `kind` behind the DMA-queue offload.
+fn dma_name(kind: BackendKind) -> &'static str {
+    match kind {
+        BackendKind::H3dFact => "h3dfact-3d+dma",
+        BackendKind::Hybrid2d => "hybrid-2d+dma",
+        BackendKind::Sram2d => "sram-2d+dma",
+        BackendKind::Pcm => "pcm-2die+dma",
+        BackendKind::Baseline => "baseline-sw+dma",
+        BackendKind::Stochastic => "stochastic-sw+dma",
     }
 }
 
-/// A [`Backend`] over any [`Target`]: owns the run-cursor seed discipline
-/// (`run_seed = derive(engine seed, cursor)`), drives the shared
-/// [`ResonatorLoop`] through the target's kernels, and settles each run
-/// into both the target's [`CostReport`] and the standard [`RunReport`].
+/// The [`Backend`]: any [`BackendKind`] executing its kernels on any
+/// [`Target`]. Owns the run-cursor seed discipline (`run_seed =
+/// derive(engine seed, cursor)`), drives the shared [`ResonatorLoop`]
+/// through the target's kernels (or the target's lockstep stepper, for
+/// batches), and settles each run into both the target's [`CostReport`]
+/// and the standard [`RunReport`].
 pub struct TargetBackend {
     name: &'static str,
     capabilities: Capabilities,
@@ -1167,11 +1243,85 @@ pub struct TargetBackend {
     seed: u64,
     runs: u64,
     last_cost: Option<CostReport>,
+    /// `(factors, design clock in MHz)` of the SRAM-buffered batch
+    /// roll-up (Sec. IV-A), for the one pairing that schedules batches
+    /// natively: the 3D accelerator on the functional target.
+    batch_rollup: Option<(usize, f64)>,
 }
 
 impl TargetBackend {
-    /// Builds the backend for a `(kind, target)` pairing with the same
-    /// constructor knobs as `BackendKind::instantiate`.
+    /// Builds the backend for a `(kind, target)` pairing with the
+    /// session's constructor knobs (ADC/noise overrides).
+    ///
+    /// # Errors
+    ///
+    /// [`SessionBuildError::UnsupportedTarget`] when `target_kind` is
+    /// [`TargetKind::ApproxTiled`] and `kind` has no analog crossbar.
+    pub fn try_new(
+        kind: BackendKind,
+        target_kind: TargetKind,
+        spec: ProblemSpec,
+        max_iters: usize,
+        seed: u64,
+        adc_bits: Option<u8>,
+        noise: Option<NoiseSpec>,
+    ) -> Result<Self, SessionBuildError> {
+        let functional = || {
+            Box::new(FunctionalTarget::for_backend(
+                kind, spec, max_iters, adc_bits, noise,
+            ))
+        };
+        // Functional targets are bit-identical to the engines and report
+        // under the engine's own name.
+        let (name, target): (&'static str, Box<dyn Target>) = match target_kind {
+            TargetKind::Functional => (kind.name(), functional()),
+            TargetKind::DmaQueue => (
+                dma_name(kind),
+                Box::new(DmaQueueTarget::new(functional(), DMA_QUEUE_CAPACITY)),
+            ),
+            TargetKind::ApproxTiled => {
+                let (name, variant) = match kind {
+                    BackendKind::H3dFact => ("h3dfact-3d+approx", DesignVariant::H3dThreeTier),
+                    BackendKind::Hybrid2d => ("hybrid-2d+approx", DesignVariant::Hybrid2d),
+                    _ => {
+                        return Err(SessionBuildError::UnsupportedTarget {
+                            kind,
+                            target: target_kind,
+                        })
+                    }
+                };
+                let cfg = hw_config(spec, max_iters, adc_bits, noise);
+                (name, Box::new(ApproxTiledTarget::new(cfg, variant)))
+            }
+        };
+        let batch_rollup = (kind == BackendKind::H3dFact && target_kind == TargetKind::Functional)
+            .then(|| {
+                (
+                    spec.factors,
+                    analog_frequency_mhz(DesignVariant::H3dThreeTier),
+                )
+            });
+        // Every target a kind runs on models its costs (the co-simulated
+        // target exists only for the analog kinds, which already do).
+        let hardware = !matches!(kind, BackendKind::Baseline | BackendKind::Stochastic);
+        let capabilities = Capabilities {
+            stochastic: !matches!(kind, BackendKind::Sram2d | BackendKind::Baseline),
+            energy_model: hardware,
+            latency_model: hardware,
+            native_batch: batch_rollup.is_some(),
+        };
+        Ok(Self {
+            name,
+            capabilities,
+            target,
+            seed,
+            runs: 0,
+            last_cost: None,
+            batch_rollup,
+        })
+    }
+
+    /// [`TargetBackend::try_new`] for pairings known to be supported.
     ///
     /// # Panics
     ///
@@ -1186,86 +1336,28 @@ impl TargetBackend {
         adc_bits: Option<u8>,
         noise: Option<NoiseSpec>,
     ) -> Self {
-        let name = backend_name(kind, target_kind);
-        let hw_config = || {
-            let mut cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
-            if let Some(bits) = adc_bits {
-                cfg = cfg.with_adc_bits(bits);
-            }
-            if let Some(n) = noise {
-                cfg = cfg.with_noise(n);
-            }
-            cfg
-        };
-        let functional = || {
-            Box::new(FunctionalTarget::for_backend(
-                kind, spec, max_iters, adc_bits, noise,
-            ))
-        };
-        let target: Box<dyn Target> = match target_kind {
-            TargetKind::Functional => functional(),
-            TargetKind::DmaQueue => Box::new(DmaQueueTarget::new(functional(), DMA_QUEUE_CAPACITY)),
-            TargetKind::ApproxTiled => {
-                let variant = match kind {
-                    BackendKind::H3dFact => DesignVariant::H3dThreeTier,
-                    BackendKind::Hybrid2d => DesignVariant::Hybrid2d,
-                    other => panic!(
-                        "the approximate tiled target models the analog crossbar path; \
-                         {other} has none"
-                    ),
-                };
-                Box::new(ApproxTiledTarget::new(hw_config(), variant))
-            }
-        };
-        let engine_caps = match kind {
-            BackendKind::H3dFact | BackendKind::Hybrid2d | BackendKind::Pcm => Capabilities {
-                stochastic: true,
-                energy_model: true,
-                latency_model: true,
-                native_batch: false,
-            },
-            BackendKind::Sram2d => Capabilities {
-                stochastic: false,
-                energy_model: true,
-                latency_model: true,
-                native_batch: false,
-            },
-            BackendKind::Baseline => Capabilities {
-                stochastic: false,
-                energy_model: false,
-                latency_model: false,
-                native_batch: false,
-            },
-            BackendKind::Stochastic => Capabilities {
-                stochastic: true,
-                energy_model: false,
-                latency_model: false,
-                native_batch: false,
-            },
-        };
-        let capabilities = match target_kind {
-            // The co-simulated target always carries cost models.
-            TargetKind::ApproxTiled => Capabilities {
-                stochastic: true,
-                energy_model: true,
-                latency_model: true,
-                native_batch: false,
-            },
-            _ => engine_caps,
-        };
-        Self {
-            name,
-            capabilities,
-            target,
-            seed,
-            runs: 0,
-            last_cost: None,
-        }
+        Self::try_new(kind, target_kind, spec, max_iters, seed, adc_bits, noise)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The target's cost report of the most recent run.
     pub fn last_cost_report(&self) -> Option<&CostReport> {
         self.last_cost.as_ref()
+    }
+
+    /// A cost report in the common run-report format.
+    fn run_report(&self, cost: &CostReport) -> RunReport {
+        RunReport {
+            backend: self.name,
+            iterations: cost.iterations,
+            degenerate_events: cost.degenerate_events,
+            cycles: cost.cycles,
+            latency_s: cost.latency_s,
+            energy: cost.energy.clone(),
+            tier_switches: cost.tier_switches,
+            adc_conversions: cost.adc_conversions,
+            buffer_peak_bits: cost.buffer_peak_bits,
+        }
     }
 }
 
@@ -1302,17 +1394,7 @@ impl Backend for TargetBackend {
     }
 
     fn last_run_stats(&self) -> Option<RunReport> {
-        self.last_cost.as_ref().map(|c| RunReport {
-            backend: self.name,
-            iterations: c.iterations,
-            degenerate_events: c.degenerate_events,
-            cycles: c.cycles,
-            latency_s: c.latency_s,
-            energy: c.energy.clone(),
-            tier_switches: c.tier_switches,
-            adc_conversions: c.adc_conversions,
-            buffer_peak_bits: c.buffer_peak_bits,
-        })
+        self.last_cost.as_ref().map(|c| self.run_report(c))
     }
 
     fn run_cursor(&self) -> u64 {
@@ -1321,6 +1403,86 @@ impl Backend for TargetBackend {
 
     fn seek_run(&mut self, cursor: u64) {
         self.runs = cursor;
+    }
+
+    fn factorize_lockstep(
+        &mut self,
+        codebooks: &[Codebook],
+        queries: &[LockstepQuery<'_>],
+    ) -> Vec<LockstepSolve> {
+        let run_seeds: Vec<u64> = (self.runs..self.runs + queries.len() as u64)
+            .map(|cursor| derive_seed(self.seed, cursor))
+            .collect();
+        let Some(batch) = self.target.run_lockstep(codebooks, queries, &run_seeds) else {
+            return queries
+                .iter()
+                .map(|&(query, truth)| {
+                    let outcome = self.factorize_query(codebooks, query, truth);
+                    let report = self.last_run_stats().expect("a run just finished");
+                    LockstepSolve { outcome, report }
+                })
+                .collect();
+        };
+        self.runs += queries.len() as u64;
+        let mut solves = Vec::with_capacity(batch.len());
+        for (outcome, cost) in batch {
+            solves.push(LockstepSolve {
+                outcome,
+                report: self.run_report(&cost),
+            });
+            self.last_cost = Some(cost);
+        }
+        solves
+    }
+
+    fn factorize_batch(&mut self, codebooks: &[Codebook], items: &[BatchItem]) -> BatchOutcome {
+        assert!(!items.is_empty(), "batch must be non-empty");
+        let mut solves = Vec::with_capacity(items.len());
+        for chunk in items.chunks(LOCKSTEP_CHUNK) {
+            let queries: Vec<LockstepQuery<'_>> = chunk
+                .iter()
+                .map(|item| (&item.query, item.truth.as_deref()))
+                .collect();
+            solves.extend(self.factorize_lockstep(codebooks, &queries));
+        }
+        let reports: Vec<RunReport> = solves.iter().map(|s| s.report.clone()).collect();
+        self.fold_batch_reports(&reports);
+        BatchOutcome::from_outcomes(solves.into_iter().map(|s| s.outcome).collect())
+    }
+
+    fn fold_batch_reports(&mut self, per_item: &[RunReport]) -> bool {
+        let Some((factors, frequency_mhz)) = self.batch_rollup else {
+            return false;
+        };
+        let per_item: Vec<RunStats> = per_item
+            .iter()
+            .map(|r| RunStats {
+                iterations: r.iterations,
+                cycles: r.cycles.unwrap_or(0),
+                latency_s: r.latency_s.unwrap_or(0.0),
+                energy: r.energy.clone().unwrap_or_default(),
+                tier_switches: r.tier_switches.unwrap_or(0),
+                adc_conversions: r.adc_conversions.unwrap_or(0),
+                degenerate_events: r.degenerate_events,
+                buffer_peak_bits: r.buffer_peak_bits.unwrap_or(0),
+            })
+            .collect();
+        let batch = batch_run_stats(factors, frequency_mhz, &per_item);
+        self.last_cost = Some(CostReport {
+            target: self.target.target_name(),
+            iterations: batch.iterations,
+            degenerate_events: batch.degenerate_events,
+            cycles: Some(batch.cycles),
+            latency_s: Some(batch.latency_s),
+            energy: Some(batch.energy),
+            tier_switches: Some(batch.tier_switches),
+            adc_conversions: Some(batch.adc_conversions),
+            buffer_peak_bits: Some(batch.buffer_peak_bits),
+            mean_die_temp_c: Vec::new(),
+            peak_temp_c: None,
+            queue: None,
+        });
+        true
     }
 
     fn last_cost_report(&self) -> Option<CostReport> {
@@ -1361,9 +1523,16 @@ mod tests {
             assert_eq!(a.iterations, b.iterations);
             assert_eq!(a.decoded, b.decoded);
         }
-        let ea = Backend::last_run_stats(&engine).unwrap();
-        let eb = Backend::last_run_stats(&target).unwrap();
-        assert_eq!(ea, eb, "functional cost report must match the engine");
+        let ea = engine.last_run_stats().unwrap();
+        let eb = target.last_cost_report().unwrap();
+        assert_eq!(eb.iterations, ea.iterations);
+        assert_eq!(eb.degenerate_events, ea.degenerate_events);
+        assert_eq!(eb.cycles, Some(ea.cycles));
+        assert_eq!(eb.latency_s, Some(ea.latency_s));
+        assert_eq!(eb.energy.as_ref(), Some(&ea.energy), "energy ledger");
+        assert_eq!(eb.tier_switches, Some(ea.tier_switches));
+        assert_eq!(eb.adc_conversions, Some(ea.adc_conversions));
+        assert_eq!(eb.buffer_peak_bits, Some(ea.buffer_peak_bits));
     }
 
     #[test]

@@ -1,22 +1,33 @@
 //! Cross-target contract tests for the target abstraction:
 //!
-//! 1. **Golden reproduction** — every golden cell of `tests/goldens.rs`
-//!    (4 workloads × 3 backends) run through
-//!    `SessionBuilder::target(TargetKind::Functional)` is bit-identical to
-//!    the engines' direct path, and every backend kind produces identical
-//!    outcomes *and* identical `RunReport`s (energy ledgers included)
-//!    through the functional target.
+//! 1. **Engine reproduction** — every backend kind, driven through the
+//!    (always target-routed) `Session`, produces outcomes and `RunReport`s
+//!    (energy ledgers included) bit-identical to the crate engine of the
+//!    same kind built directly (`H3dFact`, `Sram2dEngine`,
+//!    `Hybrid2dEngine`, `PcmEngine`, `BaselineResonator`,
+//!    `StochasticResonator`), with and without ADC/noise overrides; the
+//!    3D accelerator keeps its native SRAM-buffered batch roll-up; and
+//!    every golden cell of `tests/goldens.rs` (4 workloads × 3 backends)
+//!    reproduces bit-for-bit through the DMA-queue offload too.
 //! 2. **Functional ↔ DMA equivalence** — a service trace captured on the
 //!    functional target replays bit-for-bit on the DMA-queue target (and
 //!    vice versa), across multiple backend kinds: the trace/replay
 //!    contract is the cross-target equivalence harness.
 //! 3. **Approximate tiled co-simulation** — cost reports (energy, cycles,
 //!    per-iteration temperature trajectory) are deterministic per seed
-//!    and physically sane.
+//!    and physically sane, and pairings without an analog crossbar are
+//!    refused with an error, not a panic.
 
+use h3dfact::h3dfact_core::RunStats;
+use h3dfact::hdc::rng::derive_seed;
 use h3dfact::perception::{AttributeSchema, NeuralFrontend};
 use h3dfact::prelude::*;
+use h3dfact::service::ServiceBuildError;
 use h3dfact::workload::Workload;
+
+/// The session's backend-seed namespace: a session at seed `s` builds its
+/// backend at `derive_seed(s, SESSION_BACKEND_NS)`.
+const SESSION_BACKEND_NS: u64 = 0xB4C;
 
 fn golden_workload(name: &str) -> (Box<dyn Workload>, usize) {
     match name {
@@ -42,19 +53,16 @@ fn golden_workload(name: &str) -> (Box<dyn Workload>, usize) {
     }
 }
 
-/// Runs one golden cell (same seeds as `tests/goldens.rs`), optionally
-/// routed through an execution target.
-fn run_cell(name: &str, kind: BackendKind, target: Option<TargetKind>) -> WorkloadReport {
+/// Runs one golden cell (same seeds as `tests/goldens.rs`) on `target`.
+fn run_cell(name: &str, kind: BackendKind, target: TargetKind) -> WorkloadReport {
     let (mut workload, n) = golden_workload(name);
-    let mut builder = Session::builder()
+    let mut session = Session::builder()
         .spec(workload.spec())
         .backend(kind)
         .seed(101)
-        .max_iters(600);
-    if let Some(t) = target {
-        builder = builder.target(t);
-    }
-    let mut session = builder.build();
+        .max_iters(600)
+        .target(target)
+        .build();
     session.run_workload(&mut *workload, n)
 }
 
@@ -70,10 +78,9 @@ fn assert_outcomes_identical(a: &FactorizationOutcome, b: &FactorizationOutcome,
     );
 }
 
-/// The functional target reproduces every golden cell bit-for-bit:
-/// `tests/goldens.rs` pins the direct-engine values, and this test pins
-/// target-routed == direct, so the goldens transitively hold on the
-/// target path.
+/// `tests/goldens.rs` pins every golden cell on the default functional
+/// target; this test pins the DMA-queue offload to the functional target
+/// on the same cells, so the goldens transitively hold on both.
 #[test]
 fn functional_target_reproduces_every_golden_cell() {
     for name in ["random", "perception", "integer", "capacity"] {
@@ -83,77 +90,268 @@ fn functional_target_reproduces_every_golden_cell() {
             BackendKind::H3dFact,
         ] {
             let cell = format!("{name} × {kind}");
-            let direct = run_cell(name, kind, None);
-            let routed = run_cell(name, kind, Some(TargetKind::Functional));
-            assert_eq!(direct.units, routed.units, "{cell}: units");
-            assert_eq!(direct.score, routed.score, "{cell}: score (bitwise)");
-            assert_eq!(direct.metrics, routed.metrics, "{cell}: metrics");
+            let functional = run_cell(name, kind, TargetKind::Functional);
+            let dma = run_cell(name, kind, TargetKind::DmaQueue);
+            assert_eq!(functional.units, dma.units, "{cell}: units");
+            assert_eq!(functional.score, dma.score, "{cell}: score (bitwise)");
+            assert_eq!(functional.metrics, dma.metrics, "{cell}: metrics");
             assert_eq!(
-                direct.session.solved, routed.session.solved,
+                functional.session.solved, dma.session.solved,
                 "{cell}: solved"
             );
             assert_eq!(
-                direct.session.total_iterations, routed.session.total_iterations,
+                functional.session.total_iterations, dma.session.total_iterations,
                 "{cell}: total iterations"
             );
             assert_eq!(
-                direct.session.total_energy_j, routed.session.total_energy_j,
+                functional.session.total_energy_j, dma.session.total_energy_j,
                 "{cell}: energy (bitwise)"
             );
             assert_eq!(
-                direct.session.total_latency_s, routed.session.total_latency_s,
+                functional.session.total_latency_s, dma.session.total_latency_s,
                 "{cell}: latency (bitwise)"
             );
-            for (a, b) in direct.session.outcomes.iter().zip(&routed.session.outcomes) {
+            for (a, b) in functional
+                .session
+                .outcomes
+                .iter()
+                .zip(&dma.session.outcomes)
+            {
                 assert_outcomes_identical(a, b, &cell);
             }
         }
     }
 }
 
-/// Every backend kind — not just the golden trio — produces identical
-/// outcomes and identical `RunReport`s (energy ledgers included) through
-/// the functional target, across several runs so per-run seed derivation
-/// is exercised past cursor 0.
+/// The report a hardware engine's [`RunStats`] stands for.
+fn hw_report(backend: &'static str, s: &RunStats) -> RunReport {
+    RunReport {
+        backend,
+        iterations: s.iterations,
+        degenerate_events: s.degenerate_events,
+        cycles: Some(s.cycles),
+        latency_s: Some(s.latency_s),
+        energy: Some(s.energy.clone()),
+        tier_switches: Some(s.tier_switches),
+        adc_conversions: Some(s.adc_conversions),
+        buffer_peak_bits: Some(s.buffer_peak_bits),
+    }
+}
+
+/// The report of a software engine run: loop-level facts, no cost model.
+fn sw_report(backend: &'static str, iterations: usize, degenerate_events: usize) -> RunReport {
+    RunReport {
+        backend,
+        iterations,
+        degenerate_events,
+        cycles: None,
+        latency_s: None,
+        energy: None,
+        tier_switches: None,
+        adc_conversions: None,
+        buffer_peak_bits: None,
+    }
+}
+
+/// A crate engine driven directly, reporting its last run in the
+/// facade's format.
+trait DirectEngine: Factorizer {
+    fn report(&self) -> RunReport;
+}
+
+impl DirectEngine for H3dFact {
+    fn report(&self) -> RunReport {
+        hw_report("h3dfact-3d", self.last_run_stats().expect("ran"))
+    }
+}
+
+impl DirectEngine for Sram2dEngine {
+    fn report(&self) -> RunReport {
+        hw_report("sram-2d", self.last_run_stats().expect("ran"))
+    }
+}
+
+impl DirectEngine for Hybrid2dEngine {
+    fn report(&self) -> RunReport {
+        hw_report("hybrid-2d", self.last_run_stats().expect("ran"))
+    }
+}
+
+impl DirectEngine for PcmEngine {
+    fn report(&self) -> RunReport {
+        hw_report("pcm-2die", self.last_run_stats().expect("ran"))
+    }
+}
+
+impl DirectEngine for BaselineResonator {
+    fn report(&self) -> RunReport {
+        let s = self.last_run_summary().expect("ran");
+        sw_report("baseline-sw", s.iterations, s.degenerate_events)
+    }
+}
+
+impl DirectEngine for StochasticResonator {
+    fn report(&self) -> RunReport {
+        let s = self.last_run_summary().expect("ran");
+        sw_report("stochastic-sw", s.iterations, s.degenerate_events)
+    }
+}
+
+/// The crate engine of `kind`, built directly from its own constructors
+/// with the session's ADC/noise overrides applied the way each engine
+/// takes them.
+fn direct_engine(
+    kind: BackendKind,
+    spec: ProblemSpec,
+    max_iters: usize,
+    seed: u64,
+    adc_bits: Option<u8>,
+    noise: Option<NoiseSpec>,
+) -> Box<dyn DirectEngine> {
+    let mut cfg = H3dFactConfig::default_for(spec).with_max_iters(max_iters);
+    if let Some(bits) = adc_bits {
+        cfg = cfg.with_adc_bits(bits);
+    }
+    if let Some(n) = noise {
+        cfg = cfg.with_noise(n);
+    }
+    match kind {
+        BackendKind::H3dFact => Box::new(H3dFact::new(cfg, seed)),
+        BackendKind::Sram2d => Box::new(Sram2dEngine::new(spec, max_iters, seed)),
+        BackendKind::Hybrid2d => Box::new(Hybrid2dEngine::new(cfg, seed)),
+        BackendKind::Pcm => {
+            let mut engine = PcmEngine::paper_default(spec, max_iters, seed);
+            if let Some(bits) = adc_bits {
+                engine = engine.with_adc_bits(bits);
+            }
+            if let Some(n) = noise {
+                engine = engine
+                    .with_cell_sigma(n.sigma_total())
+                    .with_faults(n.stuck_at_rate, n.write_gain());
+            }
+            Box::new(engine)
+        }
+        BackendKind::Baseline => Box::new(BaselineResonator::new(max_iters, seed)),
+        BackendKind::Stochastic => Box::new(StochasticResonator::with_cell_noise(
+            spec,
+            max_iters,
+            noise.map_or(StochasticResonator::CHIP_CELL_SIGMA, |n| n.sigma_total()),
+            adc_bits.unwrap_or(4),
+            seed,
+        )),
+    }
+}
+
+/// Every backend kind, driven through the session (and so through its
+/// functional target, in lockstep where the target has a stepper),
+/// produces outcomes, cost totals and `RunReport`s (energy ledgers
+/// included) bit-identical to the crate engine of the same kind at the
+/// session's backend seed — with paper defaults, and with ADC/noise
+/// overrides whose stuck-at faults put the PCM comparator's readout gain
+/// below 1.
 #[test]
 fn functional_target_matches_direct_engines_for_all_kinds() {
     let spec = ProblemSpec::new(3, 8, 256);
-    for kind in BackendKind::ALL {
-        let build = |target: Option<TargetKind>| {
-            let mut b = Session::builder()
+    let faulty = NoiseSpec {
+        stuck_at_rate: 0.2,
+        write_nonlinearity: 0.1,
+        ..NoiseSpec::chip_40nm()
+    };
+    for (adc_bits, noise) in [(None, None), (Some(3), Some(faulty))] {
+        for kind in BackendKind::ALL {
+            let cell = format!("{kind} adc {adc_bits:?} noise {}", noise.is_some());
+            let mut builder = Session::builder()
                 .spec(spec)
                 .backend(kind)
                 .seed(77)
                 .max_iters(500);
-            if let Some(t) = target {
-                b = b.target(t);
+            if let Some(bits) = adc_bits {
+                builder = builder.adc_bits(bits);
             }
-            b.build()
-        };
-        let mut direct = build(None);
-        let mut routed = build(Some(TargetKind::Functional));
-        assert_eq!(direct.backend_name(), routed.backend_name(), "{kind}");
-        let a = direct.run(3);
-        let b = routed.run(3);
-        let cell = format!("{kind} run(3)");
-        assert_eq!(a.solved, b.solved, "{cell}: solved");
-        assert_eq!(a.total_iterations, b.total_iterations, "{cell}: iters");
-        assert_eq!(a.total_energy_j, b.total_energy_j, "{cell}: energy");
-        assert_eq!(a.total_latency_s, b.total_latency_s, "{cell}: latency");
-        for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-            assert_outcomes_identical(x, y, &cell);
+            if let Some(n) = noise {
+                builder = builder.noise(n);
+            }
+            let mut session = builder.build();
+            assert_eq!(session.backend_name(), kind.name(), "{cell}");
+            let items = session.generate_at(0, 4);
+            let routed = session.run(4);
+
+            let seed = derive_seed(77, SESSION_BACKEND_NS);
+            let mut engine = direct_engine(kind, spec, 500, seed, adc_bits, noise);
+            let (mut energy, mut latency) = (None, None);
+            let mut last = None;
+            for (item, got) in items.iter().zip(&routed.outcomes) {
+                let want =
+                    engine.factorize_query(session.codebooks(), &item.query, item.truth.as_deref());
+                assert_outcomes_identical(got, &want, &cell);
+                let report = engine.report();
+                if let Some(e) = report.energy_j() {
+                    *energy.get_or_insert(0.0) += e;
+                }
+                if let Some(l) = report.latency_s {
+                    *latency.get_or_insert(0.0) += l;
+                }
+                last = Some(report);
+            }
+            assert_eq!(routed.total_energy_j, energy, "{cell}: energy (bitwise)");
+            assert_eq!(routed.total_latency_s, latency, "{cell}: latency (bitwise)");
+            assert_eq!(
+                session.last_run_stats(),
+                last,
+                "{cell}: run report (ledger included)"
+            );
+            let cost = session
+                .last_cost_report()
+                .unwrap_or_else(|| panic!("{cell}: the target reports cost"));
+            assert_eq!(cost.target, "functional");
+        }
+    }
+}
+
+/// The 3D accelerator keeps its SRAM-buffered batch schedule on the
+/// target path: `run_batched` — sequential, and folded back from the
+/// worker pool — reports exactly what `H3dFact::factorize_batch` reports
+/// for the same items at the same run cursors.
+#[test]
+fn h3dfact_run_batched_keeps_the_native_batch_roll_up() {
+    let spec = ProblemSpec::new(3, 8, 256);
+    for threads in [1, 2] {
+        let mut session = Session::builder()
+            .spec(spec)
+            .backend(BackendKind::H3dFact)
+            .seed(41)
+            .max_iters(500)
+            .threads(threads)
+            .build();
+        // A second batch, so the roll-up starts mid-cursor.
+        let _ = session.run_batched(3);
+        let items = session.generate_at(session.problem_cursor(), 5);
+        let routed = session.run_batched(5);
+
+        let cfg = H3dFactConfig::default_for(spec).with_max_iters(500);
+        let mut engine = H3dFact::new(cfg, derive_seed(41, SESSION_BACKEND_NS));
+        engine.set_run_cursor(3);
+        let batch = engine.factorize_batch(session.codebooks(), &items);
+        let stats = engine.last_run_stats().expect("batch stats");
+        let cell = format!("threads({threads})");
+        for (got, want) in routed.outcomes.iter().zip(&batch.outcomes) {
+            assert_outcomes_identical(got, want, &cell);
         }
         assert_eq!(
-            direct.last_run_stats(),
-            routed.last_run_stats(),
-            "{cell}: run report (ledger included)"
+            routed.total_energy_j,
+            Some(stats.energy.total()),
+            "{cell}: energy"
         );
-        // The target path additionally surfaces the cost report.
-        assert!(direct.last_cost_report().is_none(), "{kind}: direct path");
-        let cost = routed
-            .last_cost_report()
-            .unwrap_or_else(|| panic!("{kind}: functional target must report cost"));
-        assert_eq!(cost.target, "functional");
+        assert_eq!(
+            routed.total_latency_s,
+            Some(stats.latency_s),
+            "{cell}: latency"
+        );
+        assert_eq!(
+            session.last_run_stats(),
+            Some(hw_report("h3dfact-3d", stats)),
+            "{cell}: batch report"
+        );
     }
 }
 
@@ -362,4 +560,73 @@ fn target_sessions_are_thread_invariant() {
             assert_outcomes_identical(a, b, &format!("{target} threads"));
         }
     }
+}
+
+/// The approximate tiled target models the analog crossbar path: every
+/// other kind is refused at build time with an error, never a panic.
+#[test]
+fn approx_tiled_target_refuses_kinds_without_a_crossbar() {
+    let spec = ProblemSpec::new(3, 8, 256);
+    for kind in BackendKind::ALL {
+        let built = Session::builder()
+            .spec(spec)
+            .backend(kind)
+            .target(TargetKind::ApproxTiled)
+            .try_build();
+        match kind {
+            BackendKind::H3dFact | BackendKind::Hybrid2d => {
+                assert!(built.is_ok(), "{kind} has a crossbar")
+            }
+            _ => assert_eq!(
+                built.unwrap_err(),
+                SessionBuildError::UnsupportedTarget {
+                    kind,
+                    target: TargetKind::ApproxTiled
+                }
+            ),
+        }
+    }
+}
+
+/// A service whose every shard has a crossbar builds on the approximate
+/// tiled target (its codebook-owning parent runs on the functional one)
+/// and solves; a pool with a shard that has none is refused.
+#[test]
+fn approx_tiled_service_builds_for_analog_shards_only() {
+    let spec = ProblemSpec::new(3, 8, 256);
+    let builder = || {
+        FactorizationService::builder()
+            .spec(spec)
+            .seed(5)
+            .max_iters(500)
+            .batch_size(2)
+            .target(TargetKind::ApproxTiled)
+    };
+    let mut service = builder()
+        .backends(&[(BackendKind::H3dFact, 1)])
+        .try_build()
+        .expect("an H3dFact-only pool runs on the approximate tiled target");
+    let mut stream = service.request_stream("tenant", BackendKind::H3dFact, 0);
+    for _ in 0..2 {
+        service.submit(stream.next_request());
+    }
+    let responses = service.drain();
+    assert_eq!(responses.len(), 2, "one batch of two solved");
+    for r in &responses {
+        let report = r.report.as_ref().expect("run report");
+        assert_eq!(report.backend, "h3dfact-3d+approx");
+        assert_eq!(report.iterations, r.outcome.iterations);
+    }
+
+    let refused = builder()
+        .backends(&[(BackendKind::H3dFact, 1), (BackendKind::Baseline, 1)])
+        .try_build()
+        .unwrap_err();
+    assert_eq!(
+        refused,
+        ServiceBuildError::UnsupportedTarget {
+            kind: BackendKind::Baseline,
+            target: TargetKind::ApproxTiled
+        }
+    );
 }
