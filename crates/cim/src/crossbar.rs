@@ -13,6 +13,12 @@
 //!   query, read `M` column currents (`a = Xᵀ q`).
 //! - [`Crossbar::mvm_weighted`] — *projection*: drive columns with (ADC-
 //!   quantized) weights, read `D` row currents (`r = X a`).
+//!
+//! The projection tier's sense amplifiers pass on only the sign of each
+//! row current, so [`Crossbar::try_mvm_weighted_signs_into`] reads just
+//! that: a row whose read-noise draw provably cannot flip its sign keeps
+//! its noiseless sum and skips the Gaussian's transcendentals, and every
+//! output has the sign of the full-noise read at the same RNG position.
 
 use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
@@ -22,7 +28,7 @@ use crate::noise::NoiseSpec;
 use crate::power::{PowerDomain, PowerMode, PowerStateError};
 use crate::rram::{RramCell, RramDeviceParams, RramState};
 use hdc::rng::rng_from_seed;
-use hdc::stats::normal;
+use hdc::stats::{box_muller, box_muller_below, box_muller_uniforms, normal};
 use hdc::{BipolarVector, Codebook, PackedCodebook};
 
 /// How faithfully device noise is simulated.
@@ -338,6 +344,38 @@ impl Crossbar {
         weights: &[f64],
         out: &mut [f64],
     ) -> Result<(), PowerStateError> {
+        self.weighted_read(weights, out, RowRead::Values)
+    }
+
+    /// Sign-exact projection read, the one the sign-output sense path
+    /// needs: every element of `out` has the sign (`> 0`, `== 0` or
+    /// `< 0`) of the [`Crossbar::try_mvm_weighted_into`] output at the same
+    /// RNG position, and the RNG ends where that read leaves it. A row
+    /// whose noise draw provably cannot reach its sum
+    /// ([`box_muller_below`]) holds the noiseless sum; every other row
+    /// holds the reference value.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerStateError`] if the array is not active.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != self.cols()` or `out.len() != self.rows()`.
+    pub fn try_mvm_weighted_signs_into(
+        &mut self,
+        weights: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), PowerStateError> {
+        self.weighted_read(weights, out, RowRead::Signs)
+    }
+
+    fn weighted_read(
+        &mut self,
+        weights: &[f64],
+        out: &mut [f64],
+        read: RowRead,
+    ) -> Result<(), PowerStateError> {
         self.domain.ensure_active()?;
         assert_eq!(
             weights.len(),
@@ -356,19 +394,16 @@ impl Crossbar {
         self.stats.weighted_mvms += 1;
         self.stats.row_activations += self.rows as u64;
         let norm: f64 = weights.iter().map(|w| w * w).sum::<f64>().sqrt();
-        let sigma = self.noise.sigma_total() * norm;
-        let survival = (1.0 - self.noise.stuck_at_rate) * self.noise.write_gain();
-        match self.fidelity {
+        let sigma = match self.fidelity {
             Fidelity::Column => {
                 // Ideal row sums through the packed set-bit kernel, then
-                // stuck-at survival and per-row aggregate noise.
+                // stuck-at survival; the noise aggregates every source.
+                let survival = (1.0 - self.noise.stuck_at_rate) * self.noise.write_gain();
                 self.packed.weighted_sums_into(weights, out);
                 for o in out.iter_mut() {
                     *o *= survival;
-                    if sigma > 0.0 {
-                        *o += normal(0.0, sigma, &mut self.rng);
-                    }
                 }
+                self.noise.sigma_total() * norm
             }
             Fidelity::Cell => {
                 let w = self
@@ -382,17 +417,14 @@ impl Crossbar {
                             acc += wj * w[r * self.cols + c] as f64;
                         }
                     }
-                    let read_sigma = (self.noise.read_sigma.powi(2) + self.noise.pvt_sigma.powi(2))
-                        .sqrt()
-                        * norm;
-                    *o = if read_sigma > 0.0 {
-                        acc + normal(0.0, read_sigma, &mut self.rng)
-                    } else {
-                        acc
-                    };
+                    *o = acc;
                 }
+                // Programming error is frozen in the cells; only read and
+                // PVT noise are drawn.
+                (self.noise.read_sigma.powi(2) + self.noise.pvt_sigma.powi(2)).sqrt() * norm
             }
-        }
+        };
+        add_row_noise(out, sigma, read, &mut self.rng);
         Ok(())
     }
 
@@ -404,6 +436,42 @@ impl Crossbar {
     pub fn mvm_weighted(&mut self, weights: &[f64]) -> Vec<f64> {
         self.try_mvm_weighted(weights)
             .expect("crossbar must be active for MVM")
+    }
+}
+
+/// How a projection read delivers its row sums.
+#[derive(Clone, Copy)]
+enum RowRead {
+    /// The reference: every row sum plus its read-noise draw.
+    Values,
+    /// Sign-exact: see [`Crossbar::try_mvm_weighted_signs_into`].
+    Signs,
+}
+
+/// Adds one `N(0, σ²)` read-noise draw to every row sum, in row order;
+/// none when σ is not positive. A [`RowRead::Signs`] read leaves a row
+/// alone when its draw provably cannot reach the sum, but still takes
+/// both of the draw's uniforms, so the RNG stream stays in step with the
+/// reference. A zero sum is never provable and takes the reference
+/// arithmetic.
+fn add_row_noise(out: &mut [f64], sigma: f64, read: RowRead, rng: &mut StdRng) {
+    if sigma > 0.0 {
+        match read {
+            RowRead::Values => {
+                for o in out.iter_mut() {
+                    *o += normal(0.0, sigma, rng);
+                }
+            }
+            RowRead::Signs => {
+                for o in out.iter_mut() {
+                    let (u1, u2) = box_muller_uniforms(rng);
+                    if !box_muller_below(u1, *o / sigma) {
+                        // `normal(0.0, σ, ..)` on the same two uniforms.
+                        *o += 0.0 + sigma * box_muller(u1, u2);
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -634,10 +702,40 @@ impl TiledCrossbar {
         weights: &[f64],
         out: &mut [f64],
     ) -> Result<(), PowerStateError> {
+        self.weighted_read(weights, out, RowRead::Values)
+    }
+
+    /// Sign-exact projection read over the folded array: each tile makes
+    /// a [`Crossbar::try_mvm_weighted_signs_into`] read of its dimension
+    /// slice, so every output has the sign of the
+    /// [`TiledCrossbar::try_mvm_weighted_into`] output at the same RNG
+    /// positions.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PowerStateError`] if any tile is not active.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn try_mvm_weighted_signs_into(
+        &mut self,
+        weights: &[f64],
+        out: &mut [f64],
+    ) -> Result<(), PowerStateError> {
+        self.weighted_read(weights, out, RowRead::Signs)
+    }
+
+    fn weighted_read(
+        &mut self,
+        weights: &[f64],
+        out: &mut [f64],
+        read: RowRead,
+    ) -> Result<(), PowerStateError> {
         assert_eq!(out.len(), self.total_rows, "output length mismatch");
-        for (t, tile) in self.tiles.iter_mut().enumerate() {
-            let slice = &mut out[t * self.rows_per_tile..(t + 1) * self.rows_per_tile];
-            tile.try_mvm_weighted_into(weights, slice)?;
+        let slices = out.chunks_mut(self.rows_per_tile);
+        for (tile, slice) in self.tiles.iter_mut().zip(slices) {
+            tile.weighted_read(weights, slice, read)?;
         }
         Ok(())
     }

@@ -1,7 +1,7 @@
 //! Property-based tests for the device and circuit models.
 
 use cim::adc::{AdcConfig, SarAdc};
-use cim::crossbar::{Crossbar, Fidelity, TiledCrossbar};
+use cim::crossbar::{AccessStats, Crossbar, Fidelity, TiledCrossbar};
 use cim::dac::BitSerialDac;
 use cim::irdrop::IrDropModel;
 use cim::noise::NoiseSpec;
@@ -142,11 +142,128 @@ proptest! {
     }
 
     #[test]
+    fn sign_read_keeps_reference_signs_and_stream(
+        seed in 0u64..1000,
+        m in 2usize..=12,
+        rows in 16usize..=130,
+        tiles in 1usize..=3,
+    ) {
+        // No noise, chip noise, 8× chip noise (many rows on the full
+        // path), and chip noise with heavy stuck-at faults and write
+        // compression.
+        let specs = [
+            NoiseSpec::ideal(),
+            NoiseSpec::chip_40nm(),
+            NoiseSpec::chip_40nm_scaled(8.0),
+            NoiseSpec {
+                stuck_at_rate: 0.05,
+                write_nonlinearity: 0.2,
+                ..NoiseSpec::chip_40nm()
+            },
+        ];
+        let mut rng = rng_from_seed(seed);
+        let book = Codebook::random(m, rows * tiles, &mut rng);
+        // ADC-like weights: codes in −7..=7 of one 48-unit step. Equal
+        // weights on two columns sum to exactly 0.0 on every row where
+        // they disagree; all-zero weights draw no noise.
+        let mut reads: Vec<Vec<f64>> = (0..3)
+            .map(|_| (0..m).map(|_| rng.gen_range(-7i32..=7) as f64 * 48.0).collect())
+            .collect();
+        let mut pair = vec![0.0; m];
+        pair[0] = 144.0;
+        pair[1] = 144.0;
+        reads.push(pair);
+        reads.push(vec![0.0; m]);
+        for noise in specs {
+            for fidelity in [Fidelity::Column, Fidelity::Cell] {
+                let mono = Crossbar::program(&book, noise, fidelity, seed);
+                let tiled = TiledCrossbar::program(&book, rows, noise, fidelity, seed);
+                for held in [check_sign_read(&mono, &reads), check_sign_read(&tiled, &reads)] {
+                    // Noise-free reads draw nothing and match bit for bit;
+                    // noisy ones hold some rows at the noiseless sum.
+                    prop_assert_eq!(held == 0, noise.sigma_total() == 0.0, "{:?} {:?}", noise, fidelity);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn noise_sigma_total_is_quadrature(p in 0.0f64..0.5, r in 0.0f64..0.5, v in 0.0f64..0.5) {
         let n = NoiseSpec { programming_sigma: p, read_sigma: r, pvt_sigma: v, stuck_at_rate: 0.0, write_nonlinearity: 0.0 };
         let expect = (p * p + r * r + v * v).sqrt();
         prop_assert!((n.sigma_total() - expect).abs() < 1e-12);
     }
+}
+
+/// A projection array under test: the reference read and the sign read.
+trait Projection: Clone {
+    fn rows(&self) -> usize;
+    fn read(&mut self, weights: &[f64], out: &mut [f64]);
+    fn sign_read(&mut self, weights: &[f64], out: &mut [f64]);
+    fn stats(&self) -> AccessStats;
+}
+
+impl Projection for Crossbar {
+    fn rows(&self) -> usize {
+        Crossbar::rows(self)
+    }
+    fn read(&mut self, weights: &[f64], out: &mut [f64]) {
+        self.try_mvm_weighted_into(weights, out).unwrap();
+    }
+    fn sign_read(&mut self, weights: &[f64], out: &mut [f64]) {
+        self.try_mvm_weighted_signs_into(weights, out).unwrap();
+    }
+    fn stats(&self) -> AccessStats {
+        Crossbar::stats(self)
+    }
+}
+
+impl Projection for TiledCrossbar {
+    fn rows(&self) -> usize {
+        TiledCrossbar::rows(self)
+    }
+    fn read(&mut self, weights: &[f64], out: &mut [f64]) {
+        self.try_mvm_weighted_into(weights, out).unwrap();
+    }
+    fn sign_read(&mut self, weights: &[f64], out: &mut [f64]) {
+        self.try_mvm_weighted_signs_into(weights, out).unwrap();
+    }
+    fn stats(&self) -> AccessStats {
+        TiledCrossbar::stats(self)
+    }
+}
+
+/// Reads each weight vector through two copies of `array`, the reference
+/// read on one and the sign read on the other, and asserts that every
+/// output has the reference's sign (`> 0`, `== 0` or `< 0`) and that the
+/// next reference read on both copies is bit-identical. Returns how many
+/// sign-read rows differ in value from the reference, i.e. were held at
+/// their noiseless sum.
+fn check_sign_read<P: Projection>(array: &P, reads: &[Vec<f64>]) -> usize {
+    let (mut reference, mut signed) = (array.clone(), array.clone());
+    let d = array.rows();
+    let (mut want, mut got) = (vec![0.0f64; d], vec![0.0f64; d]);
+    let mut held = 0;
+    for (i, w) in reads.iter().enumerate() {
+        reference.read(w, &mut want);
+        signed.sign_read(w, &mut got);
+        for (r, (x, y)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(
+                x.partial_cmp(&0.0),
+                y.partial_cmp(&0.0),
+                "read {i} row {r}: reference {x}, sign read {y}"
+            );
+            held += usize::from(x.to_bits() != y.to_bits());
+        }
+        let next = &reads[(i + 1) % reads.len()];
+        reference.read(next, &mut want);
+        signed.read(next, &mut got);
+        for (r, (x, y)) in want.iter().zip(&got).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "read after {i}, row {r}");
+        }
+    }
+    assert_eq!(reference.stats(), signed.stats());
+    held
 }
 
 #[test]

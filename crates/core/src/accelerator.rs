@@ -4,7 +4,8 @@
 //! [`AnalogKernels`] implements `resonator::ResonatorKernels` on top of the
 //! device models: similarity runs on the tier-3 crossbars (noisy analog
 //! currents → rectifying sense path → per-column SAR ADC), projection on
-//! the tier-2 crossbars, unbinding on the tier-1 XNOR bank. The
+//! the tier-2 crossbars (a sign-exact read: only the sense amplifiers'
+//! signs leave the tier), unbinding on the tier-1 XNOR bank. The
 //! [`arch3d::mapping::TierScheduler`] enforces the single-active-RRAM-tier
 //! constraint on *every* kernel call — a scheduling bug becomes a panic,
 //! not a silently wrong number — and every operation deposits energy into
@@ -280,7 +281,7 @@ impl ResonatorKernels for AnalogKernels {
             .run_phase(KernelPhase::Projection)
             .expect("projection tier active");
         self.proj_tier[factor]
-            .try_mvm_weighted_into(weights, out)
+            .try_mvm_weighted_signs_into(weights, out)
             .expect("projection tier active for MVM");
         self.ledger.add(
             EnergyComponent::ProjectionMvm,

@@ -10,8 +10,9 @@ use rand::Rng;
 ///
 /// Each draw takes exactly two uniforms from `rng`, `u1` and then `u2`
 /// ([`box_muller_uniforms`]), and maps them through [`box_muller`]. The
-/// similarity readout's skip path (`resonator::readout`) depends on this:
-/// it takes the same two uniforms and decides from `u1` alone whether the
+/// similarity readout's skip path (`resonator::readout`) and the
+/// crossbar's sign-exact projection read depend on this: they take the
+/// same two uniforms and decide from `u1` alone whether the
 /// transcendental part can be skipped.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     let (u1, u2) = box_muller_uniforms(rng);
@@ -33,6 +34,30 @@ pub fn box_muller_uniforms<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
 #[inline]
 pub fn box_muller(u1: f64, u2: f64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+}
+
+/// Relative slack of [`box_muller_below`]. The bound's own products and
+/// the reference arithmetic it vouches for (`ln`, `sqrt`, `cos`, `σ·z`,
+/// the caller's `v / σ`) round within a few ulps, about `1e-15` relative;
+/// this is six orders of magnitude above that.
+const BELOW_MARGIN: f64 = 1e-9;
+
+/// Whether every Box–Muller draw whose first uniform is `u1` is provably
+/// smaller than `ratio` in magnitude, with `ratio = v / σ`: true only if
+/// `σ·sqrt(−2 ln u1) < |v|`, so that `v + σ·box_muller(u1, u2)` keeps the
+/// sign of `v` for every `u2`, f64 rounding included.
+///
+/// It evaluates no transcendental. On `(0, 1]`, `−ln u ≤ (1 − u)/√u`
+/// (with `u = e^−x` this is `x ≤ 2 sinh(x/2)`), so
+/// `4(1 − u1)² < t²·u1` with `t = ratio²·(1 − margin)` implies
+/// `−2 ln u1 < t`. The bound is tight as `u1 → 1`, where nearly every
+/// draw of a small noise lands. It is never true for a zero or NaN
+/// `ratio`, or for `u1 = 0`.
+#[inline]
+pub fn box_muller_below(u1: f64, ratio: f64) -> bool {
+    let t = ratio * ratio * (1.0 - BELOW_MARGIN);
+    let gap = 1.0 - u1;
+    4.0 * gap * gap < t * t * u1
 }
 
 /// Draws `N(mean, sigma²)`.
@@ -153,6 +178,61 @@ mod tests {
         let s: Summary = (0..20_000).map(|_| normal(3.0, 2.0, &mut rng)).collect();
         assert!((s.mean() - 3.0).abs() < 0.06, "mean {}", s.mean());
         assert!((s.std_dev() - 2.0).abs() < 0.06, "std {}", s.std_dev());
+    }
+
+    #[test]
+    fn box_muller_below_never_admits_a_reaching_draw() {
+        // The largest draw of a `u1` is `sqrt(−2 ln u1)` (at `u2 = 0`); at
+        // `u2 = 0.5` it is the same magnitude, negated.
+        let reaches = |u1: f64, sigma: f64, v: f64| {
+            (-2.0 * u1.ln()).sqrt() * sigma >= v.abs()
+                || [0.0, 0.5].iter().any(|&u2| {
+                    let noisy = v + (0.0 + sigma * box_muller(u1, u2));
+                    noisy == 0.0 || noisy.is_sign_positive() != v.is_sign_positive()
+                })
+        };
+        for (sigma, v) in [
+            (1.0f64, 1e-3f64),
+            (2.2, -0.9),
+            (2.2, 2.2),
+            (0.5, -1.7),
+            (1.0, 8.0),
+            (1e-3, 0.5),
+        ] {
+            let ratio = v / sigma;
+            // The draw reaches |v| exactly at `u_true`. The bound's skip
+            // threshold, bisected down to two adjacent floats `below <
+            // above`, must sit above it.
+            let u_true = (-0.5 * ratio * ratio).exp();
+            let (mut below, mut above) = (0.0f64, 1.0f64);
+            assert!(box_muller_below(above, ratio), "u1 = 1.0, v {v}");
+            for _ in 0..200 {
+                if f64::from_bits(below.to_bits() + 1) == above {
+                    break;
+                }
+                let mid = 0.5 * (below + above);
+                if box_muller_below(mid, ratio) {
+                    above = mid;
+                } else {
+                    below = mid;
+                }
+            }
+            assert_eq!(f64::from_bits(below.to_bits() + 1), above, "v {v}");
+            assert!(!box_muller_below(below, ratio), "v {v}");
+            assert!(above > u_true, "threshold {above} not above {u_true}");
+            // Scripted `u1` around both thresholds, and a sweep of (0, 1].
+            let near = |u: f64| (-200..=200).map(move |k| u * (1.0 + k as f64 * 1e-11));
+            let sweep = (1..=1000).map(|k| k as f64 / 1000.0);
+            for u1 in near(u_true).chain(near(above)).chain(sweep) {
+                if u1 > 0.0 && u1 <= 1.0 && box_muller_below(u1, ratio) {
+                    assert!(!reaches(u1, sigma, v), "u1 {u1} sigma {sigma} v {v}");
+                }
+            }
+        }
+        // A zero or NaN sum is never provable, nor is `u1 = 0`.
+        assert!(!box_muller_below(1.0, 0.0));
+        assert!(!box_muller_below(1.0, f64::NAN));
+        assert!(!box_muller_below(0.0, 1e300));
     }
 
     #[test]

@@ -51,8 +51,11 @@ pub trait ResonatorKernels {
     /// H3DFact).
     fn similarity_weights_into(&mut self, factor: usize, query: &BipolarVector, out: &mut [f64]);
 
-    /// Projection pre-sign sums `X_f · w`, written into `out` (length `D`;
-    /// tier-2 RRAM MVM in H3DFact).
+    /// Projection `X_f · w` (tier-2 RRAM MVM in H3DFact), written into
+    /// `out` (length `D`) as a readout whose signs are the projection's:
+    /// the loop keeps only the signs. Analog kernels return sign-exact,
+    /// not value-exact, sums (the crossbar's sign-exact read,
+    /// `cim::crossbar::Crossbar::try_mvm_weighted_signs_into`).
     fn project_into(&mut self, factor: usize, weights: &[f64], out: &mut [f64]);
 
     /// Hook called at the start of every run (reset per-run hardware state;

@@ -183,7 +183,10 @@ pub trait Target: Send {
         out: &mut [f64],
     );
 
-    /// Projection MVM: pre-sign sums `X_f · w`, written into `out`.
+    /// Projection MVM `X_f · w`, written into `out` as a readout whose
+    /// signs are the projection's: the resonator keeps only the signs.
+    /// Analog kernels return sign-exact, not value-exact, sums
+    /// ([`cim::crossbar::TiledCrossbar::try_mvm_weighted_signs_into`]).
     fn project(&mut self, codebooks: &[Codebook], factor: usize, weights: &[f64], out: &mut [f64]);
 
     /// Hook called once per resonator iteration, after all factors have
@@ -891,7 +894,7 @@ impl Target for ApproxTiledTarget {
         let d = out.len() as f64;
         let m = weights.len() as f64;
         self.proj_tier[factor]
-            .try_mvm_weighted_into(weights, out)
+            .try_mvm_weighted_signs_into(weights, out)
             .expect("projection tier is held active");
         self.iter_ledger.add(
             EnergyComponent::ProjectionMvm,
