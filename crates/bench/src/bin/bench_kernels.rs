@@ -1,6 +1,6 @@
 //! Kernel performance harness: measures the packed-codebook MVM, the
 //! batched bit-GEMM (per-B speedup table), the projection-regime
-//! crossover, the lockstep resonator, the allocation-free iteration
+//! crossover, the bit-sliced sign projection, the lockstep resonator, the allocation-free iteration
 //! round-trip, and the parallel batch executor against their
 //! pre-optimization baselines, then writes a `BENCH_kernels.json`
 //! summary so the perf trajectory is tracked from PR 2 onward.
@@ -15,7 +15,8 @@
 //! word width, whether the Harley–Seal CSA path was taken) without which
 //! cross-host numbers are not comparable. The harness **asserts** — in
 //! `--quick` CI smoke runs too — that the batched bit-GEMM is
-//! value-identical to the per-query kernels, that the lockstep resonator
+//! value-identical to the per-query kernels, that the integer sign
+//! projection equals the f64 sums' signs, that the lockstep resonator
 //! reproduces the sequential engine bit for bit, and that the parallel
 //! batch report matches the sequential one.
 
@@ -214,6 +215,53 @@ fn main() {
         ));
     }
 
+    // --- Sign projection: the bit-sliced integer sign kernel vs the f64
+    //     sums + sign readout it replaces, on ADC-code weights at D = 256,
+    //     each point hard-asserted bit-identical before it is timed. ---
+    let mut sign_rows = String::new();
+    let mut sign_sums = vec![0.0f64; kernels::SIGN_D];
+    let mut sign_ref = hdc::BipolarVector::ones(kernels::SIGN_D);
+    let mut sign_out = hdc::BipolarVector::ones(kernels::SIGN_D);
+    let sign_points: Vec<(usize, usize)> = [8usize, 48, 64]
+        .into_iter()
+        .flat_map(|m| {
+            [1usize, 2, 4, 8, 16]
+                .into_iter()
+                .filter(move |&a| a <= m)
+                .map(move |a| (m, a))
+        })
+        .collect();
+    for (k, &(m, active)) in sign_points.iter().enumerate() {
+        let (book, weights) = kernels::sign_projection_fixture(m, active);
+        let packed = book.packed();
+        packed.weighted_sums_into(&weights, &mut sign_sums);
+        sign_ref.assign_signs_of_reals(&sign_sums);
+        assert!(
+            packed.try_project_signs_into(&weights, &mut sign_out),
+            "ADC-code weights must take the integer sign path (m={m} active={active})"
+        );
+        assert_eq!(
+            sign_out, sign_ref,
+            "integer sign projection diverged from the f64 reference (m={m} active={active})"
+        );
+        let reps = mvm_reps * 4;
+        let f64_ns = time_ns(reps, || {
+            packed.weighted_sums_into(black_box(&weights), &mut sign_sums);
+            sign_ref.assign_signs_of_reals(&sign_sums);
+            black_box(sign_ref.words()[0]);
+        });
+        let sign_ns = time_ns(reps, || {
+            packed.try_project_signs_into(black_box(&weights), &mut sign_out);
+            black_box(sign_out.words()[0]);
+        });
+        sign_rows.push_str(&format!(
+            "      {{ \"m\": {m}, \"active\": {active}, \"f64_ns\": {f64_ns:.1}, \
+             \"sign_ns\": {sign_ns:.1}, \"speedup\": {:.2} }}{}\n",
+            f64_ns / sign_ns,
+            if k + 1 < sign_points.len() { "," } else { "" }
+        ));
+    }
+
     // --- Lockstep resonator: B sequential engine solves vs one lockstep
     //     batch at the same seeds, with a bit-identity assert. ---
     let (books, items, engine) = kernels::lockstep_fixture(8);
@@ -330,6 +378,10 @@ fn main() {
          \"projection_regime_sweep_m256_d1024\": {{\n    \
          \"sparse_dense_crossover\": {crossover},\n    \
          \"points\": [\n{sweep_rows}    ]\n  }},\n  \
+         \"sign_projection_d256\": {{\n    \
+         \"max_plane_adds\": {max_plane_adds},\n    \
+         \"points\": [\n{sign_rows}    ],\n    \
+         \"note\": \"48·c ADC-code weights; identity vs weighted_sums_into + assign_signs_of_reals is hard-asserted before timing\"\n  }},\n  \
          \"lockstep_resonator_f3_m8_d256\": {{\n    \
          \"problems\": 8,\n    \
          \"sequential_s\": {seq_lockstep_s:.5},\n    \
@@ -353,6 +405,7 @@ fn main() {
          \"accuracy\": {:.4}\n  }}\n}}\n",
         seq_report.accuracy(),
         crossover = hdc::SPARSE_DENSE_CROSSOVER,
+        max_plane_adds = hdc::SIGN_PROJECTION_MAX_PLANE_ADDS,
         multi_core = cores > 1,
     );
     std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");

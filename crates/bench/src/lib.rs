@@ -190,6 +190,26 @@ pub mod kernels {
         w
     }
 
+    /// Dimension of the sign-projection bench: the golden `D = 256`.
+    pub const SIGN_D: usize = 256;
+
+    /// One sign-projection workload at `D = 256`: an `m`-row codebook and
+    /// ADC-code weights on `active` distinct rows — `48·c` with code
+    /// `c ∈ ±{1..7}`, the 4-bit noise-referenced activation's output at
+    /// this dimension (step `3·√D = 48`).
+    pub fn sign_projection_fixture(m: usize, active: usize) -> (Codebook, Vec<f64>) {
+        use rand::Rng;
+        let mut rng = rng_from_seed(5 + m as u64);
+        let book = Codebook::random(m, SIGN_D, &mut rng);
+        let mut weights = vec![0.0f64; m];
+        for k in 0..active.min(m) {
+            let code = rng.gen_range(1..8) as f64;
+            let sign = if rng.gen_range(0..2) == 0 { 1.0 } else { -1.0 };
+            weights[k * m / active.min(m)] = 48.0 * sign * code;
+        }
+        (book, weights)
+    }
+
     /// The lockstep-vs-sequential engine workload: `n` fresh problems at
     /// the session shape (`F = 3`, `M = 8`, `D = 256`) plus a stochastic
     /// engine to solve them with.

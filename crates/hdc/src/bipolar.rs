@@ -223,6 +223,12 @@ impl BipolarVector {
         &self.words
     }
 
+    /// Mutably borrows the packed words. Writers must leave the tail bits
+    /// beyond `dim` zero.
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// Returns the element at `index` as `+1` or `-1`.
     ///
     /// # Panics

@@ -175,15 +175,17 @@ impl Codebook {
 
     /// Projection step of the resonator: `sign(X a)` — superposes the
     /// codevectors weighted by (possibly noisy / quantized) similarities and
-    /// re-binarizes. Routed through the packed matrix kernel.
+    /// re-binarizes. Routed through the packed sign kernel
+    /// ([`PackedCodebook::project_signs_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `weights.len() != self.len()`.
     pub fn project(&self, weights: &[f64]) -> BipolarVector {
-        let mut sums = vec![0.0f64; self.dim];
-        self.packed.weighted_sums_into(weights, &mut sums);
-        BipolarVector::from_reals_sign(&sums)
+        let mut out = BipolarVector::ones(self.dim);
+        self.packed
+            .project_signs_into(weights, &mut vec![0.0f64; self.dim], &mut out);
+        out
     }
 
     /// Unweighted superposition of all codevectors; the standard resonator

@@ -53,6 +53,8 @@ pub use codebook::{CleanupHit, Codebook};
 pub use dispatch::{Detection, SimdArm, CSA_BLOCK_WORDS};
 pub use error::DimensionMismatch;
 pub use ops::{bind_all, bundle, TieBreak};
-pub use packed::{PackedBatch, PackedCodebook, SPARSE_DENSE_CROSSOVER};
+pub use packed::{
+    PackedBatch, PackedCodebook, SIGN_PROJECTION_MAX_PLANE_ADDS, SPARSE_DENSE_CROSSOVER,
+};
 pub use problem::{FactorizationProblem, ProblemSpec};
 pub use sequence::{decode_position, encode_sequence};

@@ -144,13 +144,36 @@ pub fn weighted_sums_into(vectors: &[BipolarVector], weights: &[f64], out: &mut 
 /// the sign of `Σ_j w_j · x_j` per element.
 ///
 /// This is exactly the *projection* step `sign(X·a)` of the resonator
-/// network when `w` holds the (possibly noisy, quantized) similarities.
+/// network when `w` holds the (possibly noisy, quantized) similarities,
+/// and shares the bit-sliced integer sign kernel of
+/// [`crate::packed::PackedCodebook::try_project_signs_into`] (the `f64`
+/// sums where that kernel is not proven exact).
 ///
 /// # Panics
 ///
 /// Panics if lengths disagree or `vectors` is empty.
 pub fn weighted_bundle(vectors: &[BipolarVector], weights: &[f64]) -> BipolarVector {
-    BipolarVector::from_reals_sign(&weighted_sums(vectors, weights))
+    assert!(
+        !vectors.is_empty(),
+        "weighted_sums needs at least one vector"
+    );
+    assert_eq!(
+        vectors.len(),
+        weights.len(),
+        "weighted_sums: {} vectors vs {} weights",
+        vectors.len(),
+        weights.len()
+    );
+    let dim = vectors[0].dim();
+    assert!(
+        vectors.iter().all(|v| v.dim() == dim),
+        "weighted_sums dimension mismatch"
+    );
+    let mut out = BipolarVector::ones(dim);
+    if !crate::packed::project_signs_exact(|j| vectors[j].words(), weights, &mut out) {
+        out.assign_signs_of_reals(&weighted_sums(vectors, weights));
+    }
+    out
 }
 
 #[cfg(test)]

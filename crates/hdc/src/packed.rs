@@ -22,6 +22,11 @@
 //!   forms over a [`PackedBatch`] of `B` queries, **value-identical** to
 //!   `B` calls of the per-query kernels (exact integers / identical
 //!   floating-point evaluation order per query).
+//! - [`PackedCodebook::try_project_signs_into`] /
+//!   [`PackedCodebook::project_signs_into`] — the projection's signs
+//!   straight into a [`BipolarVector`], by bit-sliced integer counters
+//!   where that is proven exact (the fallback takes a `D`-long `f64`
+//!   scratch).
 //!
 //! # Blocking
 //!
@@ -98,6 +103,42 @@ const GEMM_STREAM_BYTES: usize = 96 * 1024;
 /// can sweep densities against the constant rather than hard-coding its
 /// own copy.
 pub const SPARSE_DENSE_CROSSOVER: usize = 8;
+
+/// Most plane adds (`Σ_j popcount|c_j|`, see
+/// [`PackedCodebook::try_project_signs_into`]) the bit-sliced sign
+/// projection takes on before it leaves the weight set to the `f64` path.
+///
+/// Each plane add ripples one row word through up to `bits(C)` counter
+/// planes, so the integer path's cost grows with the plane adds while the
+/// `f64` path's grows with the active rows. Measured at `D = 256` on a
+/// 2-vCPU AVX-512 VM (2.1 GHz, `target-cpu=native`), with the cap lifted,
+/// against `weighted_sums_into` + `assign_signs_of_reals`:
+///
+/// - ADC codes `48·c`, `|c| ≤ 7`: 1.5–4× faster up to ~55 plane adds,
+///   1.0–1.1× at 107–213, 0.85–0.9× at ~440;
+/// - raw similarity dots (identity activation): 1.1–1.4× at 25–95,
+///   0.83–1.0× at 76–160, 0.85× at ~440.
+///
+/// The curves cross between ~80 and ~150 plane adds; 96 sits in that
+/// band. The paper-default sparse readout (`capacity-sw`, M = 64) needs
+/// ~10–30, so it always takes the integer path; dense identity-activation
+/// baselines fall back. The cap also sizes the kernel's stack lists.
+pub const SIGN_PROJECTION_MAX_PLANE_ADDS: usize = 96;
+
+/// `2^53`: every integer of smaller magnitude is exact in `f64`.
+const F64_EXACT_INTS: f64 = 9_007_199_254_740_992.0;
+
+/// Counter planes the bit-sliced sign projection may need: the code total
+/// `C` is below `2^53`, so every per-element count fits in 53 bits.
+const SIGN_PLANES: usize = 53;
+
+/// Output words the bit-sliced sign projection advances together (one
+/// 256-bit vector of counter lanes; `D = 256` is one block).
+const SIGN_BLOCK_WORDS: usize = 4;
+
+/// The bits of a word at even element indices — the reference sign
+/// readout's tie rule ([`BipolarVector::assign_signs_of_reals`]).
+const EVEN_BITS: u64 = 0x5555_5555_5555_5555;
 
 /// All `M` codevectors of one codebook in contiguous word buffers, with
 /// allocation-free popcount MVM kernels.
@@ -393,6 +434,52 @@ impl PackedCodebook {
         }
     }
 
+    /// Sign projection `out = sign(X a)` by exact integer arithmetic,
+    /// when that is proven to equal the `f64` reference
+    /// ([`PackedCodebook::weighted_sums_into`] then
+    /// [`BipolarVector::assign_signs_of_reals`]) bit for bit. Returns
+    /// `false`, leaving `out` untouched, when it is not.
+    ///
+    /// The integer path runs when every non-zero weight is an integer
+    /// `w_j = c_j·q` of one integer unit `q` (the gcd of the `|w_j|`),
+    /// `Σ|w_j| < 2^53`, and the plane-add count `Σ popcount|c_j|` is at
+    /// most [`SIGN_PROJECTION_MAX_PLANE_ADDS`]. Every term and partial sum
+    /// of the reference is then an exact integer, so its sign is the sign
+    /// of the integer sum `q·(2A − C)`, where `C = Σ|c_j|` and `A` counts,
+    /// per element, `|c_j|` for every row that agrees with the sign of
+    /// `c_j`. `A` is accumulated in vertical (bit-sliced) counters over
+    /// `u64` words (row `j`, or `!row` when `c_j < 0`, ripple-added once
+    /// per set bit of `|c_j|` at that bit's plane), then compared
+    /// bit-sliced against `⌊C/2⌋`. An exact zero (`2A = C`) takes the reference's
+    /// even-index rule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != len()` or `out.dim() != dim()`.
+    pub fn try_project_signs_into(&self, weights: &[f64], out: &mut BipolarVector) -> bool {
+        assert_eq!(weights.len(), self.len, "weight count mismatch");
+        assert_eq!(out.dim(), self.dim, "projection output dimension mismatch");
+        project_signs_exact(|j| self.row(j), weights, out)
+    }
+
+    /// Sign projection `out = sign(X a)`, bit-identical to
+    /// [`PackedCodebook::weighted_sums_into`] then
+    /// [`BipolarVector::assign_signs_of_reals`]: the integer path of
+    /// [`PackedCodebook::try_project_signs_into`] where it is proven
+    /// exact, that `f64` reference through `sums` otherwise (its contents
+    /// are unspecified afterwards).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `weights.len() != len()`, `out.dim() != dim()`, or —
+    /// when the `f64` path runs — `sums.len() != dim()`.
+    pub fn project_signs_into(&self, weights: &[f64], sums: &mut [f64], out: &mut BipolarVector) {
+        if !self.try_project_signs_into(weights, out) {
+            self.weighted_sums_into(weights, sums);
+            out.assign_signs_of_reals(sums);
+        }
+    }
+
     /// True when `active` non-zero weights over `rows` codebook rows are
     /// served by the sparse set-bit walk rather than the dense branchless
     /// unpack (see [`SPARSE_DENSE_CROSSOVER`] for the measurement behind
@@ -558,9 +645,8 @@ impl PackedCodebook {
     /// each row contributes one short contiguous load per block instead
     /// of a `D`-wide accumulator walk. Per-element accumulation order
     /// (ascending `j`) is unchanged by the tiling, keeping outputs
-    /// bit-identical to the per-query kernel. Unlike the per-query
-    /// kernels this entry point allocates `O(B)` regime flags (never
-    /// anything proportional to `M·D`).
+    /// bit-identical to the per-query kernel. Like the per-query kernels
+    /// it allocates nothing.
     ///
     /// # Panics
     ///
@@ -592,26 +678,30 @@ impl PackedCodebook {
         let bn = weights.len() / m;
         assert_eq!(out.len(), bn * d, "batch projection output length mismatch");
         out.fill(0.0);
-        let dense: Vec<bool> = (0..bn)
-            .map(|b| {
-                let active = weights[b * m..(b + 1) * m]
-                    .iter()
-                    .filter(|&&w| w != 0.0)
-                    .count();
-                !Self::sparse_projection_regime(active, m)
-            })
-            .collect();
-        for (b, _) in dense.iter().enumerate().filter(|&(_, &dns)| !dns) {
-            let ob = &mut out[b * d..(b + 1) * d];
-            for (j, &wj) in weights[b * m..(b + 1) * m].iter().enumerate() {
-                if wj == 0.0 {
+        let w = self.words_per_row;
+        // Queries in chunks of 64 so their regime flags fit one word: no
+        // per-call allocation, one flag computation per query.
+        for c0 in (0..bn).step_by(64) {
+            let c1 = (c0 + 64).min(bn);
+            let mut dense = 0u64;
+            for b in c0..c1 {
+                let wb = &weights[b * m..(b + 1) * m];
+                let active = wb.iter().filter(|&&w| w != 0.0).count();
+                if !Self::sparse_projection_regime(active, m) {
+                    dense |= 1 << (b - c0);
                     continue;
                 }
-                accumulate_set_bits(self.row(j), wj, ob);
+                let ob = &mut out[b * d..(b + 1) * d];
+                for (j, &wj) in wb.iter().enumerate() {
+                    if wj == 0.0 {
+                        continue;
+                    }
+                    accumulate_set_bits(self.row(j), wj, ob);
+                }
             }
-        }
-        if dense.iter().any(|&dns| dns) {
-            let w = self.words_per_row;
+            if dense == 0 {
+                continue;
+            }
             // Dim-blocked dispatched bit-GEMM: block outer so each 8 KiB
             // output tile is revisited by every row while L1-hot; `j`
             // stays the innermost *ordering* per element, so each
@@ -624,7 +714,10 @@ impl PackedCodebook {
                 let e1 = (w1 * WORD_BITS).min(d);
                 for j in 0..m {
                     let row_blk = &self.row(j)[w0..w1];
-                    for (b, _) in dense.iter().enumerate().filter(|&(_, &dns)| dns) {
+                    let mut bits = dense;
+                    while bits != 0 {
+                        let b = c0 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
                         let wj = weights[b * m + j];
                         if wj == 0.0 {
                             continue;
@@ -801,6 +894,178 @@ pub(crate) fn accumulate_set_bits(words: &[u64], w: f64, out: &mut [f64]) {
             bits &= bits - 1;
         }
     }
+}
+
+/// Divides every entry of `values` by `d` in place when `d` divides them
+/// all and returns `None`; otherwise returns the first entry `d` does not
+/// divide, leaving `values` untouched. Exact division by the inverse of
+/// `d`'s odd part modulo 2^64: with `d = o·2^t`, `v` is a multiple of `d`
+/// exactly when its low `t` bits are zero and `q = (v >> t)·o⁻¹ mod 2^64`
+/// times `o` does not overflow — and `q` is then the quotient.
+fn divide_exactly(values: &mut [u64], d: u64) -> Option<u64> {
+    let t = d.trailing_zeros();
+    let odd = d >> t;
+    // `3·o ⊕ 2` is an inverse of `o` to 5 bits; each Newton step doubles
+    // the correct bits (5 → 10 → 20 → 40 → 80 ≥ 64).
+    let mut inv = odd.wrapping_mul(3) ^ 2;
+    for _ in 0..4 {
+        inv = inv.wrapping_mul(2u64.wrapping_sub(odd.wrapping_mul(inv)));
+    }
+    let low = (1u64 << t) - 1;
+    let quotient = |v: u64| (v >> t).wrapping_mul(inv);
+    if let Some(&v) = values
+        .iter()
+        .find(|&&v| v & low != 0 || odd.checked_mul(quotient(v)).is_none())
+    {
+        return Some(v);
+    }
+    for v in values.iter_mut() {
+        *v = quotient(*v);
+    }
+    None
+}
+
+/// Binary gcd, with `gcd(0, b) = b`.
+fn gcd(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 || a == b {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// The integer sign projection over rows supplied by `row` (a packed
+/// codebook's, or loose vectors' for [`crate::ops::weighted_bundle`]):
+/// writes `sign(Σ_j w_j · row_j)` into `out` and returns `true` when the
+/// weights meet the exactness conditions of
+/// [`PackedCodebook::try_project_signs_into`]; returns `false`, leaving
+/// `out` untouched, otherwise. Callers check that there is one row per
+/// weight, each of `out`'s dimension.
+pub(crate) fn project_signs_exact<'a>(
+    row: impl Fn(usize) -> &'a [u64],
+    weights: &[f64],
+    out: &mut BipolarVector,
+) -> bool {
+    const CAP: usize = SIGN_PROJECTION_MAX_PLANE_ADDS;
+    // Every non-zero weight costs at least one plane add, so at most CAP
+    // of them can pass. Gather their rows and magnitudes, checking that
+    // each is an integer below 2^53 (NaN and ±∞ fail the integer test),
+    // and so is their sum.
+    let mut rows = [0u32; CAP];
+    let mut codes = [0u64; CAP];
+    let mut n = 0usize;
+    let mut sum = 0u64;
+    let mut min = u64::MAX;
+    for (c, chunk) in weights.chunks(WORD_BITS).enumerate() {
+        let mut nonzero = 0u64;
+        for (b, &w) in chunk.iter().enumerate() {
+            nonzero |= u64::from(w != 0.0) << b;
+        }
+        while nonzero != 0 {
+            let j = c * WORD_BITS + nonzero.trailing_zeros() as usize;
+            nonzero &= nonzero - 1;
+            let a = weights[j].abs();
+            if n == CAP || a.fract() != 0.0 || a >= F64_EXACT_INTS {
+                return false;
+            }
+            let a = a as u64;
+            sum += a;
+            min = min.min(a);
+            rows[n] = j as u32;
+            codes[n] = a;
+            n += 1;
+        }
+    }
+    if sum >= 1 << 53 {
+        return false;
+    }
+    let (rows, codes) = (&rows[..n], &mut codes[..n]);
+    // The unit: the smallest magnitude when it divides every weight (the
+    // common case), their gcd otherwise, reached by folding in only the
+    // magnitudes the current unit misses. Then `c_j = |w_j| / unit`.
+    let mut unit = min;
+    while let Some(v) = divide_exactly(codes, unit) {
+        // Strictly smaller each time, and 1 divides everything.
+        unit = gcd(unit, v);
+    }
+    let plane_adds: u32 = codes.iter().map(|c| c.count_ones()).sum();
+    if plane_adds as usize > CAP {
+        return false;
+    }
+    let total: u64 = codes.iter().sum();
+
+    let dim = out.dim();
+    let out = out.words_mut();
+    let words = out.len();
+    // Counts reach `C = total`, so `bits(C)` planes hold them.
+    let planes_used = (u64::BITS - total.leading_zeros()) as usize;
+    let half = total / 2;
+    // `2A = C` is only possible for even `C`.
+    let ties = if total.is_multiple_of(2) {
+        EVEN_BITS
+    } else {
+        0
+    };
+    let mut planes = [[0u64; SIGN_BLOCK_WORDS]; SIGN_PLANES];
+    for w0 in (0..words).step_by(SIGN_BLOCK_WORDS) {
+        let k_n = SIGN_BLOCK_WORDS.min(words - w0);
+        let planes = &mut planes[..planes_used];
+        planes.fill([0; SIGN_BLOCK_WORDS]);
+        for (&j, &code) in rows.iter().zip(codes.iter()) {
+            let j = j as usize;
+            let flip = if weights[j] < 0.0 { u64::MAX } else { 0 };
+            let mut x = [0u64; SIGN_BLOCK_WORDS];
+            for (xk, &r) in x.iter_mut().zip(&row(j)[w0..w0 + k_n]) {
+                *xk = r ^ flip;
+            }
+            let mut mag = code;
+            while mag != 0 {
+                let p = mag.trailing_zeros() as usize;
+                mag &= mag - 1;
+                // Ripple-carry add of `x` at plane `p`.
+                let mut carry = x;
+                for plane in planes[p..].iter_mut() {
+                    for (pk, ck) in plane.iter_mut().zip(carry.iter_mut()) {
+                        let t = *pk & *ck;
+                        *pk ^= *ck;
+                        *ck = t;
+                    }
+                }
+            }
+        }
+        // Bit-sliced `A > ⌊C/2⌋` and `A == ⌊C/2⌋`, most significant
+        // plane first.
+        let mut gt = [0u64; SIGN_BLOCK_WORDS];
+        let mut eq = [u64::MAX; SIGN_BLOCK_WORDS];
+        for (b, plane) in planes.iter().enumerate().rev() {
+            let h = 0u64.wrapping_sub((half >> b) & 1);
+            for k in 0..SIGN_BLOCK_WORDS {
+                gt[k] |= eq[k] & plane[k] & !h;
+                eq[k] &= !(plane[k] ^ h);
+            }
+        }
+        for (k, o) in out[w0..w0 + k_n].iter_mut().enumerate() {
+            *o = gt[k] | (eq[k] & ties);
+        }
+    }
+    let tail = dim % WORD_BITS;
+    if tail != 0 {
+        out[words - 1] &= (1u64 << tail) - 1;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -1045,6 +1310,22 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn exact_division_matches_integer_division() {
+        let divisors = [1u64, 2, 3, 7, 30, 48, 96, 1 << 20, (1 << 52) + 1, u64::MAX];
+        let values = [0u64, 1, 3, 30, 48, 96, 144, 336, 1 << 40, (1 << 53) - 1];
+        for d in divisors {
+            for v in values {
+                let mut one = [v];
+                match divide_exactly(&mut one, d) {
+                    None => assert_eq!((v % d, one[0]), (0, v / d), "{v} / {d}"),
+                    Some(miss) => assert_eq!((v % d != 0, miss, one[0]), (true, v, v)),
+                }
+            }
+        }
+        assert_eq!((gcd(0, 48), gcd(144, 336), gcd(7, 1 << 40)), (48, 48, 1));
     }
 
     #[test]

@@ -71,8 +71,32 @@ impl FactorizationProblem {
     }
 
     /// Generates a random problem over *shared* codebooks (the codebooks are
-    /// fixed hardware contents in H3DFact; only the query changes).
+    /// fixed hardware contents in H3DFact; only the query changes). The
+    /// problem owns a copy of every codebook; callers that keep only the
+    /// query and its truth use [`FactorizationProblem::draw_query`], which
+    /// draws the identical problem without the copies.
     pub fn with_codebooks<R: Rng + ?Sized>(codebooks: &[Codebook], rng: &mut R) -> Self {
+        let (product, true_indices) = Self::draw_query(codebooks, rng);
+        Self {
+            spec: ProblemSpec::new(codebooks.len(), codebooks[0].len(), codebooks[0].dim()),
+            codebooks: codebooks.to_vec(),
+            true_indices,
+            product,
+        }
+    }
+
+    /// Draws one problem over shared codebooks and returns only its
+    /// product vector and ground-truth indices: the same `rng` draws, the
+    /// same bits and the same truth as [`FactorizationProblem::with_codebooks`],
+    /// with no codebook copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `codebooks` is empty or their shapes disagree.
+    pub fn draw_query<R: Rng + ?Sized>(
+        codebooks: &[Codebook],
+        rng: &mut R,
+    ) -> (BipolarVector, Vec<usize>) {
         assert!(!codebooks.is_empty(), "need at least one codebook");
         let dim = codebooks[0].dim();
         let m = codebooks[0].len();
@@ -80,11 +104,12 @@ impl FactorizationProblem {
             codebooks.iter().all(|c| c.dim() == dim && c.len() == m),
             "codebooks must share shape"
         );
-        let spec = ProblemSpec::new(codebooks.len(), m, dim);
-        let true_indices: Vec<usize> = (0..spec.factors)
-            .map(|_| rng.gen_range(0..spec.codebook_size))
-            .collect();
-        Self::compose(spec, codebooks.to_vec(), true_indices)
+        let true_indices: Vec<usize> = codebooks.iter().map(|_| rng.gen_range(0..m)).collect();
+        let mut product = codebooks[0].vector(true_indices[0]).clone();
+        for (cb, &i) in codebooks.iter().zip(&true_indices).skip(1) {
+            product.bind_assign(cb.vector(i));
+        }
+        (product, true_indices)
     }
 
     /// Builds a problem from explicit parts, composing the product vector.
@@ -178,6 +203,24 @@ mod tests {
         let p1 = FactorizationProblem::with_codebooks(&books, &mut rng);
         let p2 = FactorizationProblem::with_codebooks(&books, &mut rng);
         assert_eq!(p1.codebooks(), p2.codebooks());
+    }
+
+    #[test]
+    fn draw_query_matches_with_codebooks() {
+        let mut rng = rng_from_seed(34);
+        let books: Vec<Codebook> = (0..3).map(|_| Codebook::random(8, 100, &mut rng)).collect();
+        for seed in 0..16 {
+            let p = FactorizationProblem::with_codebooks(&books, &mut rng_from_seed(seed));
+            let (query, truth) = FactorizationProblem::draw_query(&books, &mut rng_from_seed(seed));
+            assert_eq!(&query, p.product());
+            assert_eq!(truth, p.true_indices());
+            let selected: Vec<BipolarVector> = books
+                .iter()
+                .zip(&truth)
+                .map(|(cb, &i)| cb.vector(i).clone())
+                .collect();
+            assert_eq!(query, bind_all(&selected));
+        }
     }
 
     #[test]

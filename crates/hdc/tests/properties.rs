@@ -3,6 +3,7 @@
 use hdc::rng::rng_from_seed;
 use hdc::{bind_all, bundle, BipolarVector, Codebook, TieBreak};
 use proptest::prelude::*;
+use rand::Rng;
 
 fn arb_dim() -> impl Strategy<Value = usize> {
     prop_oneof![1usize..=4, 60usize..=68, 120usize..=130, Just(256)]
@@ -404,5 +405,147 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Dimensions for the sign projection: one word, a ragged tail, the
+/// golden shape and a multi-block ragged tail.
+const SIGN_DIMS: [usize; 4] = [64, 100, 256, 1000];
+
+/// The f64 reference the sign kernel must equal bit for bit.
+fn reference_signs(book: &Codebook, weights: &[f64]) -> BipolarVector {
+    let mut sums = vec![0.0f64; book.dim()];
+    book.packed().weighted_sums_into(weights, &mut sums);
+    let mut out = BipolarVector::ones(book.dim());
+    out.assign_signs_of_reals(&sums);
+    out
+}
+
+/// Checks every sign-projection entry point against the f64 reference and
+/// returns whether the integer path ran.
+fn check_sign_projection(book: &Codebook, weights: &[f64]) -> bool {
+    let expect = reference_signs(book, weights);
+    let dim = book.dim();
+    if !dim.is_multiple_of(64) {
+        let last = *expect.words().last().expect("non-empty");
+        assert_eq!(last >> (dim % 64), 0, "reference padding bits");
+    }
+    let sentinel = BipolarVector::neg_ones(dim);
+    let mut exact = sentinel.clone();
+    let took = book.packed().try_project_signs_into(weights, &mut exact);
+    if took {
+        assert_eq!(exact, expect, "integer sign path");
+        assert_eq!(exact.words(), expect.words(), "padding bits stay zero");
+    } else {
+        assert_eq!(exact, sentinel, "a refused weight set leaves out untouched");
+    }
+    let mut out = BipolarVector::random(dim, &mut rng_from_seed(1));
+    let mut sums = vec![0.0f64; dim];
+    book.packed()
+        .project_signs_into(weights, &mut sums, &mut out);
+    assert_eq!(out, expect, "project_signs_into");
+    assert_eq!(book.project(weights), expect, "Codebook::project");
+    assert_eq!(
+        hdc::ops::weighted_bundle(book.vectors(), weights),
+        expect,
+        "weighted_bundle"
+    );
+    took
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sign_projection_matches_f64_on_integer_weights(
+        m in 1usize..40,
+        d in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Random integers with negatives and zeros.
+        let mut rng = rng_from_seed(seed);
+        let book = Codebook::random(m, SIGN_DIMS[d], &mut rng);
+        let weights: Vec<f64> = (0..m)
+            .map(|_| match rng.gen_range(0..4) {
+                0 => 0.0,
+                _ => rng.gen_range(0..9) as f64 - 4.0,
+            })
+            .collect();
+        prop_assert!(check_sign_projection(&book, &weights), "integer weights must be exact");
+    }
+
+    #[test]
+    fn sign_projection_matches_f64_on_adc_codes(
+        m in 1usize..65,
+        d in 0usize..4,
+        active in 1usize..17,
+        seed in 0u64..1000,
+    ) {
+        // `48·c`: the 4-bit ADC codes at D = 256 (step 3·√D).
+        let mut rng = rng_from_seed(seed);
+        let book = Codebook::random(m, SIGN_DIMS[d], &mut rng);
+        let mut weights = vec![0.0f64; m];
+        for _ in 0..active {
+            weights[rng.gen_range(0..m)] = 48.0 * (rng.gen_range(0..15) as f64 - 7.0);
+        }
+        prop_assert!(check_sign_projection(&book, &weights), "ADC codes must be exact");
+    }
+
+    #[test]
+    fn sign_projection_resolves_exact_ties_by_index_parity(
+        pairs in 1usize..6,
+        d in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        // Equal weights on an even number of rows: every element where
+        // the rows split evenly sums to exactly zero. A zero-weight row
+        // rides along.
+        let mut rng = rng_from_seed(seed);
+        let m = 2 * pairs + 1;
+        let book = Codebook::random(m, SIGN_DIMS[d], &mut rng);
+        let mut weights = vec![30.0f64; m];
+        weights[m - 1] = 0.0;
+        let mut sums = vec![0.0f64; book.dim()];
+        book.packed().weighted_sums_into(&weights, &mut sums);
+        prop_assert!(sums.contains(&0.0), "the construction must produce ties");
+        prop_assert!(check_sign_projection(&book, &weights), "ties must stay exact");
+        // Opposite-sign weights of equal size tie wherever the rows agree.
+        let weights = [90.0, -90.0, 0.0];
+        let book = Codebook::random(3, SIGN_DIMS[d], &mut rng);
+        prop_assert!(check_sign_projection(&book, &weights), "opposed ties must stay exact");
+        // All-zero weights: every element ties.
+        prop_assert!(check_sign_projection(&book, &[0.0, -0.0, 0.0]));
+    }
+
+    #[test]
+    fn sign_projection_falls_back_off_the_proof(
+        m in 2usize..40,
+        d in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let mut rng = rng_from_seed(seed);
+        let book = Codebook::random(m, SIGN_DIMS[d], &mut rng);
+        // Non-integer weights: the readout's noisy identity activation.
+        let noisy: Vec<f64> = (0..m).map(|_| rng.gen_range(-8.0..8.0)).collect();
+        prop_assert!(!check_sign_projection(&book, &noisy), "non-integer weights");
+        // Integer weights whose plane adds exceed the cap: the `-1` keeps
+        // the unit at 1, so every `127` costs seven plane adds.
+        let dense = 127.0f64;
+        let mut heavy = vec![dense; m];
+        heavy[0] = -1.0;
+        let rows_needed = hdc::SIGN_PROJECTION_MAX_PLANE_ADDS / 7 + 2;
+        let book = if m < rows_needed {
+            Codebook::random(rows_needed, SIGN_DIMS[d], &mut rng)
+        } else {
+            book
+        };
+        heavy.resize(book.len(), dense);
+        prop_assert!(!check_sign_projection(&book, &heavy), "plane adds above the cap");
+        // Non-finite weights and weights past 2^53.
+        let mut odd = vec![0.0f64; book.len()];
+        odd[0] = f64::NAN;
+        prop_assert!(!check_sign_projection(&book, &odd), "NaN");
+        odd[0] = 2f64.powi(53);
+        prop_assert!(!check_sign_projection(&book, &odd), "2^53");
     }
 }

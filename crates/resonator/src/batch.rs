@@ -100,11 +100,11 @@ pub fn random_batch(
     let items = (0..n)
         .map(|i| {
             let mut rng = hdc::rng::stream_rng(master_seed, i as u64);
-            let p = hdc::FactorizationProblem::with_codebooks(codebooks, &mut rng);
-            truths.push(p.true_indices().to_vec());
+            let (query, truth) = hdc::FactorizationProblem::draw_query(codebooks, &mut rng);
+            truths.push(truth.clone());
             BatchItem {
-                query: p.product().clone(),
-                truth: Some(p.true_indices().to_vec()),
+                query,
+                truth: Some(truth),
             }
         })
         .collect();

@@ -8,7 +8,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -38,8 +38,32 @@ impl CycleInfo {
 /// never reports success from one.
 #[derive(Debug, Clone, Default)]
 pub struct CycleDetector {
-    seen: HashMap<u64, usize>,
+    seen: HashMap<u64, usize, BuildHasherDefault<StateKeyHasher>>,
     revisits: usize,
+}
+
+/// The detector map's hasher: its keys are already SipHash outputs
+/// ([`CycleDetector::state_hash`]), so hashing them again buys nothing —
+/// the key passes through as its own hash.
+#[derive(Debug, Clone, Copy, Default)]
+struct StateKeyHasher(u64);
+
+impl Hasher for StateKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher (`write_u64`); fold any other
+        // input in anyway rather than drop it.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 impl CycleDetector {

@@ -24,9 +24,16 @@
 //!   transcendentals only when the draw provably cannot change it, and
 //!   still takes both uniforms of every draw, so the output and the RNG
 //!   position are bit-identical to the reference readout;
-//! - the batched MVMs are value-identical to the per-query kernels (exact
-//!   integers for similarities, identical floating-point evaluation order
-//!   for projections);
+//! - the batched similarity MVM is value-identical to the per-query
+//!   kernel (exact integers);
+//! - projection signs are exact: each problem's signs come from the
+//!   bit-sliced integer kernel
+//!   ([`hdc::PackedCodebook::try_project_signs_into`]) where its
+//!   weights are proven to make every `f64` term and partial sum an
+//!   exact integer, and from the batched `f64` projection otherwise,
+//!   which keeps the per-query kernel's evaluation order. Either way the
+//!   signs equal the sequential loop's `f64` sums' signs bit for bit,
+//!   zero tie-break included;
 //! - per-problem convergence masks retire finished problems (solved,
 //!   cycle abort, fixed point, budget) by dropping them from the packed
 //!   batch — the remaining problems' columns are untouched, so their
@@ -37,10 +44,9 @@
 //!
 //! All iteration scratch (the packed query batch, the `B × M` weight
 //! block, the `B × D` sum block) is owned by the batch and reused across
-//! iterations — nothing proportional to `M` or `D` allocates inside the
-//! stepping loop (the batched projection kernel keeps one documented
-//! `O(B)` regime-flag allocation per call; see
-//! [`PackedCodebook::weighted_sums_batch_into`]).
+//! iterations. The stepping loop allocates nothing per iteration beyond
+//! what the caller asks it to keep: the cycle detector's visited states
+//! and, with `record_trajectory`, the per-iteration trajectory.
 
 use std::time::Instant;
 
@@ -191,7 +197,7 @@ impl<'r> BatchedResonator<'r> {
         let mut sparse_sums = vec![0.0f64; d];
         let mut composed = BipolarVector::ones(d);
         // Slot indices still running (ascending), and the subset of the
-        // active list taking the batched projection this factor step.
+        // active list taking the batched f64 projection this factor step.
         let mut active: Vec<usize> = (0..b).collect();
         let mut projecting: Vec<usize> = Vec::with_capacity(b);
 
@@ -253,11 +259,14 @@ impl<'r> BatchedResonator<'r> {
                 let t2 = Instant::now();
                 // Degenerate (all-zero activation) problems leave the
                 // projection set and resolve via their own loop RNG,
-                // exactly as the sequential loop does.
+                // exactly as the sequential loop does. The rest take the
+                // integer sign kernel where it is proven exact and stay
+                // in the set for the batched f64 projection otherwise.
+                let packed = codebooks[fi].packed();
                 projecting.retain(|&s| {
                     let slot = &mut slots[s];
                     if slot.weights.iter().any(|&w| w != 0.0) {
-                        return true;
+                        return !packed.try_project_signs_into(&slot.weights, &mut slot.next[fi]);
                     }
                     slot.outcome.degenerate_events += 1;
                     match self.config.degenerate {
@@ -276,10 +285,11 @@ impl<'r> BatchedResonator<'r> {
                             for _ in 0..k.clamp(1, m) {
                                 sparse[slot.loop_rng.gen_range(0..m)] = 1.0;
                             }
-                            codebooks[fi]
-                                .packed()
-                                .weighted_sums_into(&sparse, &mut sparse_sums);
-                            slot.next[fi].assign_signs_of_reals(&sparse_sums);
+                            packed.project_signs_into(
+                                &sparse,
+                                &mut sparse_sums,
+                                &mut slot.next[fi],
+                            );
                         }
                     }
                     false
@@ -288,7 +298,7 @@ impl<'r> BatchedResonator<'r> {
                     for (p, &s) in projecting.iter().enumerate() {
                         wbuf[p * m..(p + 1) * m].copy_from_slice(&slots[s].weights);
                     }
-                    codebooks[fi].packed().weighted_sums_batch_into(
+                    packed.weighted_sums_batch_into(
                         &wbuf[..projecting.len() * m],
                         &mut sums[..projecting.len() * d],
                     );
@@ -437,10 +447,11 @@ mod tests {
         o
     }
 
-    #[test]
-    fn lockstep_matches_sequential_loop_bit_for_bit() {
-        let spec = ProblemSpec::new(3, 8, 256);
-        let (books, probs) = problems(6, spec, 900);
+    /// Solves `n` problems at `spec` in one lockstep batch under the
+    /// paper-default stochastic readout and checks each against its solo
+    /// `ResonatorLoop` run (whose projection is the per-query f64 sum).
+    fn assert_lockstep_matches_solo(spec: ProblemSpec, seed: u64) {
+        let (books, probs) = problems(6, spec, seed);
         let config = LoopConfig::stochastic(300);
         let sigma = 0.139 * (spec.dim as f64).sqrt();
         let act = Activation::noise_referenced(4, spec.dim, 3.0);
@@ -471,8 +482,36 @@ mod tests {
             assert_eq!(
                 functional(&batched[i]),
                 functional(&solo),
-                "problem {i} diverged from its solo run"
+                "D={} problem {i} diverged from its solo run",
+                spec.dim
             );
+        }
+    }
+
+    #[test]
+    fn lockstep_matches_sequential_loop_bit_for_bit() {
+        assert_lockstep_matches_solo(ProblemSpec::new(3, 8, 256), 900);
+    }
+
+    #[test]
+    fn lockstep_matches_sequential_loop_off_the_golden_shape() {
+        // D = 100: a ragged last word; the step 3·√100 = 30 is an integer,
+        // so projections take the integer sign path with tail masking.
+        // D = 200: the step 3·√200 is not an integer, so every projection
+        // takes the f64 fallback.
+        for (dim, exact) in [(100usize, true), (200, false)] {
+            let act = Activation::noise_referenced(4, dim, 3.0);
+            let step = act.step().expect("quantized");
+            assert_eq!(step.fract() == 0.0, exact, "D={dim} step {step}");
+            let mut rng = rng_from_seed(dim as u64);
+            let book = Codebook::random(8, dim, &mut rng);
+            let mut out = BipolarVector::ones(dim);
+            let weights = [step, 0.0, -3.0 * step, 0.0, 0.0, 7.0 * step, 0.0, 0.0];
+            assert_eq!(
+                book.packed().try_project_signs_into(&weights, &mut out),
+                exact
+            );
+            assert_lockstep_matches_solo(ProblemSpec::new(3, 8, dim), 900 + dim as u64);
         }
     }
 

@@ -1,8 +1,9 @@
 //! `ResonatorLoop::run` allocates its scratch once per run, never per
 //! iteration, and so does the kernels' noisy readout (its skip table is
-//! built with the kernels). A counting global allocator (this test
-//! binary's own) checks that a run capped at 100 iterations allocates no
-//! more than one capped at 10.
+//! built with the kernels); so does the lockstep `BatchedResonator`, on
+//! both its integer sign projection and its batched `f64` fallback. A
+//! counting global allocator (this test binary's own) checks that a run
+//! capped at 100 iterations allocates no more than one capped at 10.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -10,7 +11,10 @@ use std::cell::Cell;
 use hdc::rng::rng_from_seed;
 use hdc::{BipolarVector, Codebook};
 use resonator::engine::CycleAction;
-use resonator::{Activation, LoopConfig, ResonatorLoop, SoftwareKernels};
+use resonator::{
+    Activation, BatchedResonator, LockstepProblem, LoopConfig, NoisyReadout, ResonatorLoop,
+    SoftwareKernels,
+};
 
 thread_local! {
     /// Allocations made by this thread while counting is on (`None` = off).
@@ -136,4 +140,62 @@ fn paper_default_readout_builds_its_table_once_per_run() {
         long <= short,
         "100 iterations allocated {long} times, 10 iterations {short} times"
     );
+}
+
+/// Allocations of one lockstep run over four random (unsolvable) queries
+/// at each budget; asserts every problem spends the whole budget.
+fn lockstep_allocs_per_budget(dim: usize, readout: &NoisyReadout) -> [u64; 2] {
+    let (books, _) = books_and_random_query(dim);
+    let mut rng = rng_from_seed(2025);
+    let queries: Vec<BipolarVector> = (0..4)
+        .map(|_| BipolarVector::random(dim, &mut rng))
+        .collect();
+    let problems: Vec<LockstepProblem<'_>> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, query)| LockstepProblem {
+            query,
+            truth: None,
+            kernel_seed: 7 + i as u64,
+            loop_seed: 11 + i as u64,
+        })
+        .collect();
+    [10, 100].map(|max_iters| {
+        let config = LoopConfig {
+            cycle_action: CycleAction::Ignore,
+            ..LoopConfig::stochastic(max_iters)
+        };
+        let stepper = BatchedResonator::new(config, readout);
+        let mut outcomes = Vec::new();
+        let allocs = count_allocs(|| outcomes = stepper.run(&books, &problems));
+        for outcome in &outcomes {
+            assert!(!outcome.solved, "a random query must not solve");
+            assert_eq!(
+                outcome.iterations, max_iters,
+                "the run must use its whole budget"
+            );
+        }
+        allocs
+    })
+}
+
+#[test]
+fn lockstep_allocations_do_not_grow_with_iterations() {
+    let dim = 256;
+    // Noisy identity weights are never integers: every projection takes
+    // the batched f64 fallback.
+    let f64_path = NoisyReadout::new(dim, 2.0, false, Activation::Identity, 1.0);
+    // The paper-default readout emits `48·c` codes: the integer sign path,
+    // plus the sparse re-draws of degenerate steps.
+    let sigma = 0.139 * (dim as f64).sqrt();
+    let act = Activation::noise_referenced(4, dim, 3.0);
+    let sign_path = NoisyReadout::new(dim, sigma, true, act, 1.0);
+    for readout in [&f64_path, &sign_path] {
+        let [short, long] = lockstep_allocs_per_budget(dim, readout);
+        assert!(short > 0, "the counter must see the run's own scratch");
+        assert!(
+            long <= short,
+            "100 iterations allocated {long} times, 10 iterations {short} times"
+        );
+    }
 }

@@ -1299,12 +1299,12 @@ impl RequestStream {
     pub fn next_request(&mut self) -> FactorizeRequest {
         let mut rng = stream_rng(self.master, self.cursor);
         self.cursor += 1;
-        let p = FactorizationProblem::with_codebooks(&self.codebooks, &mut rng);
+        let (query, truth) = FactorizationProblem::draw_query(&self.codebooks, &mut rng);
         FactorizeRequest {
             tenant: self.tenant.clone(),
             backend: self.kind,
-            query: p.product().clone(),
-            truth: Some(p.true_indices().to_vec()),
+            query,
+            truth: Some(truth),
             deadline: None,
         }
     }

@@ -532,10 +532,10 @@ impl Session {
         (0..n)
             .map(|i| {
                 let mut rng = stream_rng(master, cursor + i as u64);
-                let p = FactorizationProblem::with_codebooks(&self.codebooks, &mut rng);
+                let (query, truth) = FactorizationProblem::draw_query(&self.codebooks, &mut rng);
                 BatchItem {
-                    query: p.product().clone(),
-                    truth: Some(p.true_indices().to_vec()),
+                    query,
+                    truth: Some(truth),
                 }
             })
             .collect()

@@ -60,12 +60,12 @@
 //!         let items = (0..n)
 //!             .map(|i| {
 //!                 let mut rng = stream_rng(master, 1 + i as u64);
-//!                 let p = FactorizationProblem::with_codebooks(&books, &mut rng);
+//!                 let (query, truth) = FactorizationProblem::draw_query(&books, &mut rng);
 //!                 WorkloadItem {
 //!                     group: 0,
 //!                     unit: i,
-//!                     query: p.product().clone(),
-//!                     truth: Some(p.true_indices().to_vec()),
+//!                     query,
+//!                     truth: Some(truth),
 //!                 }
 //!             })
 //!             .collect();
@@ -302,12 +302,12 @@ impl Workload for RandomFactorization {
         let items = (0..n)
             .map(|i| {
                 let mut rng = stream_rng(master, i as u64);
-                let p = FactorizationProblem::with_codebooks(&self.codebooks, &mut rng);
+                let (query, truth) = FactorizationProblem::draw_query(&self.codebooks, &mut rng);
                 WorkloadItem {
                     group: 0,
                     unit: i,
-                    query: p.product().clone(),
-                    truth: Some(p.true_indices().to_vec()),
+                    query,
+                    truth: Some(truth),
                 }
             })
             .collect();
@@ -700,12 +700,12 @@ impl Workload for CapacitySweep {
                 let books: Vec<Codebook> = (0..self.spec.factors)
                     .map(|_| Codebook::random(self.spec.codebook_size, self.spec.dim, &mut rng))
                     .collect();
-                let p = FactorizationProblem::with_codebooks(&books, &mut rng);
+                let (query, truth) = FactorizationProblem::draw_query(&books, &mut rng);
                 let item = WorkloadItem {
                     group: unit,
                     unit,
-                    query: p.product().clone(),
-                    truth: Some(p.true_indices().to_vec()),
+                    query,
+                    truth: Some(truth),
                 };
                 groups.push(books);
                 item
@@ -888,12 +888,12 @@ impl Workload for RobustnessSweep {
         let items = (0..n)
             .map(|i| {
                 let mut rng = stream_rng(master, i as u64);
-                let p = FactorizationProblem::with_codebooks(&self.codebooks, &mut rng);
+                let (query, truth) = FactorizationProblem::draw_query(&self.codebooks, &mut rng);
                 WorkloadItem {
                     group: 0,
                     unit: i,
-                    query: p.product().clone(),
-                    truth: Some(p.true_indices().to_vec()),
+                    query,
+                    truth: Some(truth),
                 }
             })
             .collect();
